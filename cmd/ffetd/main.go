@@ -184,23 +184,7 @@ func runOneshot(path string, scale exp.Scale) error {
 		if err != nil {
 			return err
 		}
-		opt := variation.DefaultOptions()
-		if req.MC.Samples > 0 {
-			opt.Samples = req.MC.Samples
-		}
-		if req.MC.Workers > 0 {
-			opt.Workers = req.MC.Workers
-		}
-		if req.MC.Seed != 0 {
-			opt.Seed = req.MC.Seed
-		}
-		if req.MC.SigmaNm > 0 {
-			opt.SigmaNm = req.MC.SigmaNm
-		}
-		if req.MC.FloorFF > 0 {
-			opt.FloorFF = req.MC.FloorFF
-		}
-		sum, err := variation.Study(ctx, basis, opt)
+		sum, err := variation.Study(ctx, basis, req.MC.Options())
 		if err != nil {
 			return err
 		}

@@ -10,17 +10,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/cell"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/netlist"
-	"repro/internal/place"
 	"repro/internal/riscv"
-	"repro/internal/synth"
+	"repro/internal/sweep"
 	"repro/internal/tech"
 )
 
@@ -114,57 +110,41 @@ type Suite struct {
 	Scale Scale
 	FFET  *cell.Library
 	CFET  *cell.Library
-	// MaxParallel bounds the goroutine pool sweep experiments fan their
-	// flow runs over (the flow is deterministic and data-race-free, so
-	// points are independent). 0 picks min(GOMAXPROCS, 12); 1 forces
-	// serial execution. Tables are byte-identical at any setting —
-	// results land by sweep index, never by completion order.
+	// MaxParallel bounds how many sweep points run at once (the flow is
+	// deterministic and data-race-free, so points are independent). 0
+	// picks min(GOMAXPROCS, 12); 1 forces serial execution. Tables are
+	// byte-identical at any setting — results land by sweep index, never
+	// by completion order.
 	MaxParallel int
 	// DisablePrefixSharing forces every sweep point through a full
-	// from-scratch flow instead of forking staged sessions at their
-	// deepest shared stage. Sharing is purely a work optimization —
-	// forked runs are bit-identical to scratch runs — so this knob
-	// exists only for differential tests and apples-to-apples
-	// benchmarking of the sharing itself.
+	// from-scratch flow instead of forking shared checkpoints. Sharing is
+	// purely a work optimization — forked runs are bit-identical to
+	// scratch runs — so this knob exists only for differential tests and
+	// apples-to-apples benchmarking of the sharing itself.
 	DisablePrefixSharing bool
 	// Ctx, when non-nil, cancels in-flight sweeps: every flow session a
 	// sweep starts runs under it, so a cancel drains the pool within one
 	// stage per in-flight point and the cancelled points report
 	// core.ErrCancelled in their error cells.
-	Ctx     context.Context
-	ffetNl  *netlist.Netlist
-	cfetNl  *netlist.Netlist
-	mu      sync.Mutex
-	results map[RunKey]*core.FlowResult
-	// synthRoots caches one staged session per synthesis-input class,
-	// run through StageSynth only: every sweep point in that class forks
-	// off it instead of re-running synthesis — across tables, not just
-	// within one sweep.
-	synthRoots map[SynthClass]*synthRoot
-	// Cache observability (guarded by mu): memo lookups and synth-root
-	// resolutions, split hit/miss. The serve daemon republishes these on
-	// /debug/stats next to its own checkpoint counters.
-	memoHits, memoMisses           int64
-	synthRootHits, synthRootMisses int64
-	// Frequency-axis diff-chain observability (guarded by mu): sweep
-	// group leaders that re-used a neighboring target's completed session
-	// through core.Flow.ForkSynthDiff, leaders whose diff attempt fell
-	// back to the full pipeline (structural divergence, floorplan drift,
-	// oversized diff), and leaders synthesized with no diff attempt at
-	// all (first of a chain, or no close-target neighbor).
-	diffForks, diffFallbacks, fullSynthForks int64
+	Ctx    context.Context
+	ffetNl *netlist.Netlist
+	cfetNl *netlist.Netlist
+	// memo holds completed results by exact config; exec runs sweeps
+	// through the checkpoint store of synthesis roots and placed prefixes.
+	memo *sweep.Memo[*core.FlowResult]
+	exec *sweep.Executor
 }
 
-// DiffChainMaxRelGap bounds the relative target gap between neighboring
-// sweep points worth attempting a synth-diff hop across. Past it the
-// resized fraction (and with it the floorplan) almost always diverges, so
-// the attempt would serialize the two groups for nothing: groups further
-// apart run as independent full-synthesis groups in parallel, exactly as
-// before. Tunable; see ROADMAP ("diff-size threshold tuning").
-var DiffChainMaxRelGap = 0.12
+// Cache bounds of a suite: the result memo's entry count, and the
+// checkpoint store budget of a batch suite (one sharing a daemon's store
+// takes the daemon's budget instead).
+const (
+	memoEntries = 4096
+	storeBytes  = 64 << 20
+)
 
-// CacheStats is a point-in-time snapshot of the suite's result-memo and
-// synthesis-root caches.
+// CacheStats is a point-in-time snapshot of the suite's result memo and
+// sharing counters.
 type CacheStats struct {
 	MemoHits         int64 `json:"memo_hits"`
 	MemoMisses       int64 `json:"memo_misses"`
@@ -172,10 +152,9 @@ type CacheStats struct {
 	SynthRootHits    int64 `json:"synth_root_hits"`
 	SynthRootMisses  int64 `json:"synth_root_misses"`
 	SynthRootEntries int   `json:"synth_root_entries"`
-	// Frequency-axis diff-chain counters: group leaders that took the
-	// synth-diff path off a neighboring target, leaders whose diff
-	// attempt fell back to the full pipeline, and leaders synthesized
-	// without any diff attempt.
+	// Frequency-chain counters: hops that took the synth-diff path off
+	// their predecessor, hops whose diff attempt fell back to the full
+	// pipeline, and chain heads forked off a placed prefix.
 	DiffForks      int64 `json:"diff_forks"`
 	DiffFallbacks  int64 `json:"diff_fallbacks"`
 	FullSynthForks int64 `json:"full_synth_forks"`
@@ -183,29 +162,32 @@ type CacheStats struct {
 
 // Stats snapshots the suite's cache counters.
 func (s *Suite) Stats() CacheStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	m, x := s.memo.Stats(), s.exec.Stats()
 	return CacheStats{
-		MemoHits:         s.memoHits,
-		MemoMisses:       s.memoMisses,
-		MemoEntries:      len(s.results),
-		SynthRootHits:    s.synthRootHits,
-		SynthRootMisses:  s.synthRootMisses,
-		SynthRootEntries: len(s.synthRoots),
-		DiffForks:        s.diffForks,
-		DiffFallbacks:    s.diffFallbacks,
-		FullSynthForks:   s.fullSynthForks,
+		MemoHits:         m.Hits,
+		MemoMisses:       m.Misses,
+		MemoEntries:      m.Entries,
+		SynthRootHits:    x.RootHits,
+		SynthRootMisses:  x.RootMisses,
+		SynthRootEntries: s.exec.Store().Stats().Roots,
+		DiffForks:        x.DiffForks,
+		DiffFallbacks:    x.DiffFallbacks,
+		FullSynthForks:   x.FullSynthForks,
 	}
 }
 
 // NewSuite builds libraries and the RISC-V benchmark core for both archs.
 func NewSuite(scale Scale) (*Suite, error) {
+	return NewSuiteStore(scale, sweep.NewStore(storeBytes))
+}
+
+// NewSuiteStore is NewSuite over a caller-owned checkpoint store, so a
+// long-running process can bound every retained checkpoint by one budget.
+func NewSuiteStore(scale Scale, store *sweep.Store) (*Suite, error) {
 	s := &Suite{
-		Scale:      scale,
-		FFET:       cell.NewLibrary(tech.NewFFET()),
-		CFET:       cell.NewLibrary(tech.NewCFET()),
-		results:    make(map[RunKey]*core.FlowResult),
-		synthRoots: make(map[SynthClass]*synthRoot),
+		Scale: scale,
+		FFET:  cell.NewLibrary(tech.NewFFET()),
+		CFET:  cell.NewLibrary(tech.NewCFET()),
 	}
 	regs := 32
 	if scale == Quick {
@@ -215,13 +197,19 @@ func NewSuite(scale Scale) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.ffetNl = nlF
 	nlC, err := nlF.Remap(s.CFET)
 	if err != nil {
 		return nil, err
 	}
-	s.cfetNl = nlC
+	s.ffetNl, s.cfetNl = nlF, nlC
+	s.initCaches(store)
 	return s, nil
+}
+
+// initCaches attaches an empty memo and an executor over store.
+func (s *Suite) initCaches(store *sweep.Store) {
+	s.memo = sweep.NewMemo[*core.FlowResult](memoEntries)
+	s.exec = sweep.NewExecutor(store, s.Netlist)
 }
 
 // Netlist returns the pre-synthesis netlist for an arch.
@@ -240,223 +228,13 @@ func (s *Suite) ctx() context.Context {
 	return context.Background()
 }
 
-// RunKey is the comparable memo key of a flow run: the architecture and
-// the entire FlowConfig (which is comparable) at full float precision,
-// minus only the cosmetic Name, which no stage reads. Embedding the
-// whole config means every result-affecting field — including MaxDRVs
-// and the per-stage option structs — keeps distinct memo entries. (The
-// old key stringified six fields at %.3f, so two configs closer than
-// 1e-3, or differing only in stage options, could collide on one
-// entry.)
-type RunKey struct {
-	arch tech.Arch
-	cfg  core.FlowConfig
-}
-
-// MemoKey builds the memo key of (arch, cfg): the exact-config identity
-// under which a completed run may be replayed from cache. The serve
-// daemon's result memo uses the same key, so daemon and batch memoization
-// can never disagree about which configs are "the same run".
-func MemoKey(arch tech.Arch, cfg core.FlowConfig) RunKey {
-	cfg.Name = ""
-	return RunKey{arch: arch, cfg: cfg}
-}
-
-// SynthClass identifies the synthesis-input class of a run: two configs in
-// the same class produce identical StageSynth output, so their sessions
-// can fork off one shared root.
-type SynthClass struct {
-	arch   tech.Arch
-	target float64
-	synth  synth.Options
-}
-
-// PrefixClass identifies the placed prefix class: configs in the same
-// class share everything through StagePlace. CTS options are deliberately
-// not part of the key — a point whose CTS delta diverges from the group
-// leader forks at StageCTS and re-legalizes only the buffer delta against
-// the retained placement basis (place.LegalizeDelta), so CTS-option
-// sweeps share one placed prefix instead of replaying placement per
-// option. Points that also match the leader's CTS diverge at
-// StagePartition or later (back-pin fraction, routing, analysis knobs)
-// exactly as before.
-type PrefixClass struct {
-	sk      SynthClass
-	util    float64
-	aspect  float64
-	pattern tech.Pattern
-	seed    int64
-	place   place.Options
-}
-
-// ClassKeys computes both sharing classes of (arch, cfg). Both are
-// comparable and usable as map keys; the serve daemon's checkpoint cache
-// keys its staged prefixes by them, so a daemon checkpoint and an exp
-// sweep group describe exactly the same shareable work.
-func ClassKeys(arch tech.Arch, cfg core.FlowConfig) (SynthClass, PrefixClass) {
-	sk := SynthClass{arch: arch, target: cfg.TargetFreqGHz, synth: cfg.Synth}
-	return sk, PrefixClass{
-		sk:      sk,
-		util:    cfg.Utilization,
-		aspect:  cfg.AspectRatio,
-		pattern: cfg.Pattern,
-		seed:    cfg.Seed,
-		place:   cfg.Place,
-	}
-}
-
-// RootConfig returns the neutralized config a synthesis-root session of
-// this class is opened under: only the class fields (target frequency,
-// synthesis options) are set, everything else is the default single-sided
-// configuration. A root built under it is valid for every class member —
-// its cached session (or cached build error) can never depend on
-// per-point fields like Pattern or BackPinFraction.
-func (sc SynthClass) RootConfig() core.FlowConfig {
-	cfg := core.DefaultFlowConfig(tech.Pattern{Front: 1}, sc.target, 0.70)
-	cfg.Synth = sc.synth
-	return cfg
-}
-
-// Config returns the neutralized config of this class's
-// placed-and-clocked prefix: every field the prefix stages read
-// (synthesis class, pattern, utilization, aspect, seed, placement
-// options) comes from the class; the point-divergent fields stay at
-// defaults (BackPinFraction 0, default CTS/route/analysis options). A
-// prefix staged under it through StageCTS is a valid fork base for any
-// class member — a leaf's Fork resumes at StageCTS or StagePartition
-// depending on its own delta — and is identical no matter which request
-// arrived first, which is what a cross-request checkpoint cache needs.
-func (pc PrefixClass) Config() core.FlowConfig {
-	cfg := core.DefaultFlowConfig(pc.pattern, pc.sk.target, pc.util)
-	cfg.Synth = pc.sk.synth
-	cfg.AspectRatio = pc.aspect
-	cfg.Seed = pc.seed
-	cfg.Place = pc.place
-	return cfg
-}
-
-// Synth returns the synthesis class the prefix class refines.
-func (pc PrefixClass) Synth() SynthClass { return pc.sk }
-
-// synthRoot is a lazily-built shared session run through StageSynth.
-// Build failures are never cached: the next point of the class retries
-// from scratch, so a transient fault (an injected error, a cancelled
-// context) cannot poison every later sweep of the class.
-type synthRoot struct {
-	mu   sync.Mutex
-	flow *core.Flow
-}
-
-// lookup returns a memoized result, or nil, counting the hit or miss.
-func (s *Suite) lookup(key RunKey) *core.FlowResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.results[key]
-	if r != nil {
-		s.memoHits++
-	} else {
-		s.memoMisses++
-	}
-	return r
-}
-
-// store memoizes a result (first writer wins, matching lookup).
-func (s *Suite) store(key RunKey, res *core.FlowResult) *core.FlowResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.results[key]; ok {
-		return r
-	}
-	s.results[key] = res
-	return res
-}
-
-// SynthRootFor returns the shared post-synthesis session of cfg's class,
-// building it on first use. The root is opened under a neutralized
-// config carrying only the class fields (arch, target, synth options):
-// the cached session (and in particular a cached error) must never
-// depend on per-point fields like Pattern or BackPinFraction, or one
-// invalid point would poison every later sweep of the same class.
-// Point-specific validation happens where it belongs, at the Fork that
-// adopts the point's full config.
-func (s *Suite) SynthRootFor(arch tech.Arch, cfg core.FlowConfig) (flow *core.Flow, err error) {
-	sk, _ := ClassKeys(arch, cfg)
-	s.mu.Lock()
-	root, ok := s.synthRoots[sk]
-	if !ok {
-		root = &synthRoot{}
-		s.synthRoots[sk] = root
-	}
-	s.mu.Unlock()
-	root.mu.Lock()
-	defer root.mu.Unlock()
-	if root.flow != nil {
-		s.countSynthRoot(true)
-		return root.flow, nil
-	}
-	s.countSynthRoot(false)
-	defer func() {
-		if r := recover(); r != nil {
-			flow, err = nil, core.NewPanicError(cfg.Name, r)
-		}
-	}()
-	if err := faultinject.Fire("exp.synthroot"); err != nil {
-		return nil, err
-	}
-	f, err := core.NewFlow(s.Netlist(arch), sk.RootConfig())
-	if err != nil {
-		return nil, err
-	}
-	if err := f.RunToCtx(s.ctx(), core.StageSynth); err != nil {
-		return nil, err
-	}
-	root.flow = f
-	return root.flow, nil
-}
-
-// countSynthRoot records one synth-root resolution.
-func (s *Suite) countSynthRoot(hit bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if hit {
-		s.synthRootHits++
-	} else {
-		s.synthRootMisses++
-	}
-}
-
-// countDiffChain records one diff-chain leader outcome: a hop that stayed
-// on the synth-diff fast path, or one that internally fell back to the
-// full pipeline (still correct, just not cheaper).
-func (s *Suite) countDiffChain(diffPath bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if diffPath {
-		s.diffForks++
-	} else {
-		s.diffFallbacks++
-	}
-}
-
-// countFullSynthFork records a group leader built from the synthesis root
-// with no chain predecessor to diff against.
-func (s *Suite) countFullSynthFork() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fullSynthForks++
-}
-
-// Run executes (or recalls) one flow run.
+// Run executes (or recalls) one flow run: a one-point sweep.
 func (s *Suite) Run(arch tech.Arch, cfg core.FlowConfig) (*core.FlowResult, error) {
-	key := MemoKey(arch, cfg)
-	if r := s.lookup(key); r != nil {
-		return r, nil
-	}
-	res, err := core.RunFlowCtx(s.ctx(), s.Netlist(arch), cfg)
+	rs, err := s.runAll([]runSpec{{Arch: arch, Cfg: cfg}})
 	if err != nil {
 		return nil, err
 	}
-	return s.store(key, res), nil
+	return rs[0], nil
 }
 
 // errorResult builds the failure placeholder a dead sweep point
@@ -465,384 +243,60 @@ func (s *Suite) Run(arch tech.Arch, cfg core.FlowConfig) (*core.FlowResult, erro
 // clears gets a clean run.
 func errorResult(spec runSpec, err error) *core.FlowResult {
 	return &core.FlowResult{
-		Config: spec.cfg,
-		Arch:   spec.arch,
+		Config: spec.Cfg,
+		Arch:   spec.Arch,
 		Valid:  false,
 		Reason: "error: " + err.Error(),
 		Err:    err,
 	}
 }
 
-// runSpec is one point of a parallel sweep.
-type runSpec struct {
-	arch tech.Arch
-	cfg  core.FlowConfig
-}
+// runSpec is one point of a sweep.
+type runSpec = sweep.Point
 
-// runAll executes specs over the suite's bounded goroutine pool,
-// preserving order.
-//
-// Sweep points that share a flow prefix do not recompute it: pending
-// specs are grouped by synthesis class and by placed-and-clocked prefix
-// class, one staged session per class runs the shared stages once, and
-// each point forks off its class session at the divergence stage
-// (core.Flow.Fork) — the paper's sweeps (Figs. 9-13) only diverge at
-// floorplanning (utilization grids) or at the Algorithm 1 partition
-// (back-pin-fraction DoEs). Forked runs are bit-identical to
-// from-scratch runs, so tables are byte-identical to the unshared path
+// runAll runs specs through the sweep executor, preserving order, with at
+// most maxParallel points in flight. Points that share a flow prefix do
+// not recompute it (see package sweep), and forked runs are bit-identical
+// to from-scratch runs, so tables are byte-identical to the unshared path
 // at any parallelism.
 //
 // Failures are contained per point: a dead point (hard error, contained
 // panic, cancellation) lands in the table as an errorResult placeholder
-// while its siblings, the synthesis-root cache, and the memo stay
+// while the other points, the checkpoint store, and the memo stay
 // healthy. runAll still reports the damage — the returned error joins
 // every distinct point error — but callers get the full table either
 // way.
 func (s *Suite) runAll(specs []runSpec) ([]*core.FlowResult, error) {
-	out := make([]*core.FlowResult, len(specs))
-	// Dedupe pending work by memo key so one sweep never runs a point
-	// twice (tables routinely repeat a baseline config). Each pending
-	// point resolves to exactly one of res or err; every point has a
-	// single writer (its worker goroutine, or its group's builder before
-	// any leaf spawns), so neither field needs a lock.
-	type pendingPoint struct {
-		spec runSpec
-		idxs []int
-		res  *core.FlowResult
-		err  error
-	}
-	pending := make(map[RunKey]*pendingPoint)
-	var pendingOrder []RunKey
-	for i, spec := range specs {
-		key := MemoKey(spec.arch, spec.cfg)
-		if r := s.lookup(key); r != nil {
-			out[i] = r
-			continue
-		}
-		p, ok := pending[key]
-		if !ok {
-			p = &pendingPoint{spec: spec}
-			pending[key] = p
-			pendingOrder = append(pendingOrder, key)
-		}
-		p.idxs = append(p.idxs, i)
-	}
-	if len(pending) == 0 {
-		return out, nil
-	}
-
 	sem := make(chan struct{}, s.maxParallel())
-	var wg sync.WaitGroup
-	finish := func(p *pendingPoint, res *core.FlowResult) {
-		p.res = s.store(MemoKey(p.spec.arch, p.spec.cfg), res)
-	}
-	// collect runs after the pool drains: it fans each point's result (or
-	// failure placeholder) out to its sweep slots and joins the distinct
-	// point errors. Points a group failure killed share one error value,
-	// so the root cause is reported once, not once per sibling.
-	collect := func() ([]*core.FlowResult, error) {
-		var errs []error
-		seen := make(map[error]bool)
-		for _, key := range pendingOrder {
-			p := pending[key]
-			if p.err == nil && p.res == nil {
-				p.err = core.Classify(p.spec.cfg.Name, errors.New("exp: sweep point never resolved"))
-			}
-			res := p.res
-			if p.err != nil {
-				res = errorResult(p.spec, p.err)
-				if !seen[p.err] {
-					seen[p.err] = true
-					errs = append(errs, p.err)
-				}
-			}
-			for _, i := range p.idxs {
-				out[i] = res
+	rs := sweep.Execute(s.ctx(), s.exec, sweep.Job[*core.FlowResult]{
+		Plan:    sweep.NewPlan(specs),
+		Memo:    s.memo,
+		Finish:  func(f *core.Flow) (*core.FlowResult, error) { return f.Result(), nil },
+		Scratch: s.DisablePrefixSharing,
+		Acquire: func(context.Context) error { sem <- struct{}{}; return nil },
+		Release: func() { <-sem },
+	})
+	out := make([]*core.FlowResult, len(rs))
+	var errs []error
+	seen := make(map[error]bool)
+	for i, r := range rs {
+		out[i] = r.Value
+		if r.Err != nil {
+			out[i] = errorResult(specs[i], r.Err)
+			if !seen[r.Err] {
+				seen[r.Err] = true
+				errs = append(errs, r.Err)
 			}
 		}
-		return out, errors.Join(errs...)
 	}
-	// runScratch is the unshared path: one full flow per point.
-	runScratch := func(p *pendingPoint) {
-		defer wg.Done()
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		defer func() {
-			if r := recover(); r != nil {
-				p.err = core.NewPanicError(p.spec.cfg.Name, r)
-			}
-		}()
-		if err := faultinject.Fire("exp.scratch"); err != nil {
-			p.err = core.Classify(p.spec.cfg.Name, err)
-			return
-		}
-		res, err := core.RunFlowCtx(s.ctx(), s.Netlist(p.spec.arch), p.spec.cfg)
-		if err != nil {
-			p.err = core.Classify(p.spec.cfg.Name, err)
-			return
-		}
-		finish(p, res)
-	}
-
-	if s.DisablePrefixSharing {
-		for _, key := range pendingOrder {
-			wg.Add(1)
-			go runScratch(pending[key])
-		}
-		wg.Wait()
-		return collect()
-	}
-
-	// Group pending points by shared-prefix class.
-	type prefixGroup struct {
-		first  runSpec
-		points []*pendingPoint
-	}
-	groups := make(map[PrefixClass]*prefixGroup)
-	var groupOrder []PrefixClass
-	for _, key := range pendingOrder {
-		p := pending[key]
-		_, pk := ClassKeys(p.spec.arch, p.spec.cfg)
-		g, ok := groups[pk]
-		if !ok {
-			g = &prefixGroup{first: p.spec}
-			groups[pk] = g
-			groupOrder = append(groupOrder, pk)
-		}
-		g.points = append(g.points, p)
-	}
-
-	// runLeaf forks one point off its group session and runs the
-	// divergent tail: partition -> route -> ... -> power. When base is a
-	// completed leader run, the fork inherits its post-STA timing engine
-	// and the leaf re-times only the cones its config delta dirtied.
-	runLeaf := func(base *core.Flow, p *pendingPoint) {
-		defer wg.Done()
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		defer func() {
-			if r := recover(); r != nil {
-				p.err = core.NewPanicError(p.spec.cfg.Name, r)
-			}
-		}()
-		if err := faultinject.Fire("exp.leaf"); err != nil {
-			p.err = core.Classify(p.spec.cfg.Name, err)
-			return
-		}
-		cfg := p.spec.cfg
-		leaf, err := base.Fork(func(c *core.FlowConfig) { *c = cfg })
-		if err != nil {
-			p.err = core.Classify(p.spec.cfg.Name, err)
-			return
-		}
-		res, err := leaf.RunCtx(s.ctx())
-		if err != nil {
-			p.err = core.Classify(p.spec.cfg.Name, err)
-			return
-		}
-		finish(p, res)
-	}
-	// buildPrefix builds a group's shared placed-and-clocked prefix: a
-	// fork of the synthesis root run through StageCTS. A panic here is
-	// contained and surfaces as the group error.
-	buildPrefix := func(g *prefixGroup) (mid *core.Flow, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				mid, err = nil, core.NewPanicError(g.first.cfg.Name, r)
-			}
-		}()
-		if err := faultinject.Fire("exp.group"); err != nil {
-			return nil, err
-		}
-		root, err := s.SynthRootFor(g.first.arch, g.first.cfg)
-		if err != nil {
-			return nil, err
-		}
-		first := g.first.cfg
-		mid, err = root.Fork(func(c *core.FlowConfig) { *c = first })
-		if err == nil {
-			err = mid.RunToCtx(s.ctx(), core.StageCTS)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return mid, nil
-	}
-	// runLeader runs a group's first point to completion off the shared
-	// prefix. On success the finished session becomes the fork base for
-	// every sibling, which then inherits the leader's StageSTA checkpoint
-	// (timing engine + RC baseline) and pays only for the timing cones
-	// its own partition/routing delta touches. On any failure — hard
-	// error, contained panic, per-point validation — only the leader's
-	// point dies; siblings fall back to forking the placed-and-clocked
-	// prefix, whose session a dead leader cannot corrupt (leader work
-	// happens in the leader's own fork).
-	runLeader := func(leader *pendingPoint, mid *core.Flow) (base *core.Flow) {
-		base = mid
-		defer func() {
-			if r := recover(); r != nil {
-				leader.err = core.NewPanicError(leader.spec.cfg.Name, r)
-			}
-		}()
-		if err := faultinject.Fire("exp.leader"); err != nil {
-			leader.err = core.Classify(leader.spec.cfg.Name, err)
-			return
-		}
-		leaderCfg := leader.spec.cfg
-		leaderFlow, err := mid.Fork(func(c *core.FlowConfig) { *c = leaderCfg })
-		if err != nil {
-			leader.err = core.Classify(leader.spec.cfg.Name, err)
-			return
-		}
-		res, err := leaderFlow.RunCtx(s.ctx())
-		if err != nil {
-			leader.err = core.Classify(leader.spec.cfg.Name, err)
-			return
-		}
-		finish(leader, res)
-		return leaderFlow
-	}
-	// runLeaderSession runs an already-forked, fully-configured leader
-	// session to completion; returns nil when the leader died.
-	runLeaderSession := func(leader *pendingPoint, lf *core.Flow) (base *core.Flow) {
-		defer func() {
-			if r := recover(); r != nil {
-				leader.err = core.NewPanicError(leader.spec.cfg.Name, r)
-				base = nil
-			}
-		}()
-		if err := faultinject.Fire("exp.leader"); err != nil {
-			leader.err = core.Classify(leader.spec.cfg.Name, err)
-			return nil
-		}
-		res, err := lf.RunCtx(s.ctx())
-		if err != nil {
-			leader.err = core.Classify(leader.spec.cfg.Name, err)
-			return nil
-		}
-		finish(leader, res)
-		return lf
-	}
-	// runGroupFrom builds and runs one group while holding a pool slot
-	// through its prefix+leader phase, then fans the remaining points out
-	// as forks of whatever base the leader left behind. prev, when
-	// non-nil, is the group's chain predecessor — the completed leader of
-	// the nearest lower synthesis target — and the group leader forks
-	// from it through the synth-diff path (core.Flow.ForkSynthDiff)
-	// instead of re-running the back end off the synthesis root. Every
-	// gate failure inside the diff fork degrades to the same full
-	// pipeline the unchained path runs, so chaining changes wall-clock,
-	// never results. Returns the session the next chain hop forks from.
-	runGroupFrom := func(g *prefixGroup, prev *core.Flow) *core.Flow {
-		sem <- struct{}{}
-		if prev != nil {
-			leaderCfg := g.points[0].spec.cfg
-			if child, st, err := prev.ForkSynthDiffCtx(s.ctx(), func(c *core.FlowConfig) { *c = leaderCfg }); err == nil {
-				s.countDiffChain(st.DiffPath)
-				base := runLeaderSession(g.points[0], child)
-				<-sem
-				if base == nil {
-					// Leader death must not sink its siblings: they
-					// re-run from scratch, exactly as containment demands.
-					for _, p := range g.points[1:] {
-						wg.Add(1)
-						go runScratch(p)
-					}
-					return nil
-				}
-				for _, p := range g.points[1:] {
-					wg.Add(1)
-					go runLeaf(base, p)
-				}
-				return base
-			}
-			// A hard fork failure (race, cancellation) falls through to
-			// the full path, which classifies its own errors.
-		}
-		s.countFullSynthFork()
-		mid, err := buildPrefix(g)
-		if err != nil {
-			<-sem
-			// The whole group shares the prefix, so its death fails every
-			// point at once — with one shared classified error value, so
-			// the sweep's joined error reports the root cause once.
-			err = core.Classify(g.first.cfg.Name, err)
-			for _, p := range g.points {
-				p.err = err
-			}
-			return nil
-		}
-		base := runLeader(g.points[0], mid)
-		<-sem
-		for _, p := range g.points[1:] {
-			wg.Add(1)
-			go runLeaf(base, p)
-		}
-		return base
-	}
-	// Partition the groups into frequency chains: groups identical up to
-	// the synthesis target, sorted by target and split wherever
-	// consecutive targets sit further apart than DiffChainMaxRelGap.
-	// Each chain runs sequentially — every hop forks the nearest
-	// completed neighbor through the synth-diff path — while distinct
-	// chains (and far-apart target clusters) keep running in parallel.
-	// Singleton chains go through the staged path too: they still share
-	// synthesis via the cross-table root cache.
-	chainKeyOf := func(pk PrefixClass) PrefixClass {
-		pk.sk.target = 0
-		pk.sk.synth.TargetFreqGHz = 0
-		return pk
-	}
-	chainOf := make(map[PrefixClass][]PrefixClass)
-	var chainOrder []PrefixClass
-	for _, pk := range groupOrder {
-		ck := chainKeyOf(pk)
-		if _, ok := chainOf[ck]; !ok {
-			chainOrder = append(chainOrder, ck)
-		}
-		chainOf[ck] = append(chainOf[ck], pk)
-	}
-	runChain := func(gs []*prefixGroup) {
-		defer wg.Done()
-		var prev *core.Flow
-		for _, g := range gs {
-			prev = runGroupFrom(g, prev)
-		}
-	}
-	for _, ck := range chainOrder {
-		pks := chainOf[ck]
-		sort.Slice(pks, func(i, j int) bool { return pks[i].sk.target < pks[j].sk.target })
-		var run []*prefixGroup
-		for i, pk := range pks {
-			if i > 0 {
-				lo := pks[i-1].sk.target
-				if lo <= 0 || pk.sk.target-lo > DiffChainMaxRelGap*lo {
-					wg.Add(1)
-					go runChain(run)
-					run = nil
-				}
-			}
-			run = append(run, groups[pk])
-		}
-		wg.Add(1)
-		go runChain(run)
-	}
-	wg.Wait()
-	return collect()
+	return out, errors.Join(errs...)
 }
 
 func (s *Suite) maxParallel() int {
 	if s.MaxParallel > 0 {
 		return s.MaxParallel
 	}
-	n := runtime.GOMAXPROCS(0)
-	if n > 12 {
-		n = 12
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(min(runtime.GOMAXPROCS(0), 12), 1)
 }
 
 // utilSweep returns the utilization grid for max-util experiments.

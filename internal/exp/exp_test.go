@@ -174,19 +174,19 @@ func sweepTable(t *testing.T, s *Suite) *Table {
 		for _, bp := range []float64{0.5, 0.16} {
 			cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, util)
 			cfg.BackPinFraction = bp
-			specs = append(specs, runSpec{tech.FFET, cfg})
+			specs = append(specs, runSpec{Arch: tech.FFET, Cfg: cfg})
 		}
 	}
 	drvs := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
 	drvs.BackPinFraction = 0.5
 	drvs.MaxDRVs = 500
-	specs = append(specs, runSpec{tech.FFET, drvs})
+	specs = append(specs, runSpec{Arch: tech.FFET, Cfg: drvs})
 	staPt := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
 	staPt.BackPinFraction = 0.5
 	staPt.STA = sta.DefaultOptions()
 	staPt.STA.InputSlewPs = 18
-	specs = append(specs, runSpec{tech.FFET, staPt})
-	specs = append(specs, runSpec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)})
+	specs = append(specs, runSpec{Arch: tech.FFET, Cfg: staPt})
+	specs = append(specs, runSpec{Arch: tech.CFET, Cfg: core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)})
 	// Repeat the first point: memo dedup must hand back the same result.
 	specs = append(specs, specs[0])
 	rs, err := s.runAll(specs)
@@ -200,7 +200,7 @@ func sweepTable(t *testing.T, s *Suite) *Table {
 	}
 	for i, r := range rs {
 		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%v", specs[i].arch),
+			fmt.Sprintf("%v", specs[i].Arch),
 			f1(r.Config.Utilization * 100),
 			f2(r.Config.BackPinFraction),
 			f3s(r.AchievedFreqGHz), f3s(r.PowerUW / 1000),
@@ -253,7 +253,7 @@ func TestDiffChainSweep(t *testing.T) {
 		for _, tgt := range []float64{2.0, 2.005, 2.01} {
 			cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, tgt, 0.70)
 			cfg.BackPinFraction = 0.5
-			specs = append(specs, runSpec{tech.FFET, cfg})
+			specs = append(specs, runSpec{Arch: tech.FFET, Cfg: cfg})
 		}
 		return specs
 	}
@@ -305,7 +305,7 @@ func TestDiffChainGapSplit(t *testing.T) {
 	for _, tgt := range []float64{1.0, 2.0} { // 100% apart >> 12% gap cap
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, tgt, 0.70)
 		cfg.BackPinFraction = 0.5
-		specs = append(specs, runSpec{tech.FFET, cfg})
+		specs = append(specs, runSpec{Arch: tech.FFET, Cfg: cfg})
 	}
 	if _, err := s.runAll(specs); err != nil {
 		t.Fatal(err)
@@ -327,51 +327,17 @@ func TestInvalidPointDoesNotPoisonClass(t *testing.T) {
 	s := quickSuite(t)
 	bad := core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)
 	bad.BackPinFraction = 0.5 // backside pins without backside layers
-	if _, err := s.runAll([]runSpec{{tech.FFET, bad}}); err == nil {
+	if _, err := s.runAll([]runSpec{{Arch: tech.FFET, Cfg: bad}}); err == nil {
 		t.Fatal("invalid point must fail its sweep")
 	}
 	good := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
 	good.BackPinFraction = 0.5
-	rs, err := s.runAll([]runSpec{{tech.FFET, good}})
+	rs, err := s.runAll([]runSpec{{Arch: tech.FFET, Cfg: good}})
 	if err != nil {
 		t.Fatalf("valid sweep in the same synth class failed after an invalid point: %v", err)
 	}
 	if len(rs) != 1 || rs[0] == nil || rs[0].AchievedFreqGHz <= 0 {
 		t.Fatal("valid sweep returned no usable result")
-	}
-}
-
-// TestRunKeyPrecision guards the memo key against the float collision
-// the old fmt.Sprintf("%.3f") key had: two configs 1e-4 apart in
-// utilization must occupy distinct memo entries.
-func TestRunKeyPrecision(t *testing.T) {
-	a := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.7000)
-	b := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.7001)
-	if MemoKey(tech.FFET, a) == MemoKey(tech.FFET, b) {
-		t.Error("distinct utilizations collide on one memo key")
-	}
-	if MemoKey(tech.FFET, a) != MemoKey(tech.FFET, a) {
-		t.Error("identical configs produce different keys")
-	}
-	if MemoKey(tech.FFET, a) == MemoKey(tech.CFET, a) {
-		t.Error("arch not part of the key")
-	}
-	// Stage options and MaxDRVs change results, so they must be keyed.
-	c := a
-	c.CTS.MaxLeafFanout = 12
-	if MemoKey(tech.FFET, a) == MemoKey(tech.FFET, c) {
-		t.Error("CTS options not part of the key")
-	}
-	d := a
-	d.MaxDRVs = 1
-	if MemoKey(tech.FFET, a) == MemoKey(tech.FFET, d) {
-		t.Error("MaxDRVs not part of the key")
-	}
-	// The cosmetic Name must not split memo entries.
-	e := a
-	e.Name = "renamed"
-	if MemoKey(tech.FFET, a) != MemoKey(tech.FFET, e) {
-		t.Error("Name must be excluded from the key")
 	}
 }
 

@@ -195,7 +195,7 @@ func (s *Suite) areaUtilSweep(arch tech.Arch, pattern tech.Pattern, backPins flo
 	for _, u := range s.utilSweep() {
 		cfg := core.DefaultFlowConfig(pattern, target, u)
 		cfg.BackPinFraction = backPins
-		specs = append(specs, runSpec{arch, cfg})
+		specs = append(specs, runSpec{Arch: arch, Cfg: cfg})
 	}
 	return s.runAll(specs)
 }
@@ -302,8 +302,8 @@ func (s *Suite) Fig09() (*Table, error) {
 	util := 0.76
 	var specs []runSpec
 	for _, tgt := range s.freqSweep() {
-		specs = append(specs, runSpec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, tgt, util)})
-		specs = append(specs, runSpec{tech.FFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, tgt, util)})
+		specs = append(specs, runSpec{Arch: tech.CFET, Cfg: core.DefaultFlowConfig(tech.Pattern{Front: 12}, tgt, util)})
+		specs = append(specs, runSpec{Arch: tech.FFET, Cfg: core.DefaultFlowConfig(tech.Pattern{Front: 12}, tgt, util)})
 	}
 	rs, sweepErr := s.runAll(specs)
 	t := &Table{
@@ -349,8 +349,8 @@ func (s *Suite) Fig10() (*Table, error) {
 		utils = []float64{0.52, 0.56, 0.60, 0.64, 0.68, 0.72, 0.76, 0.80}
 	}
 	for _, u := range utils {
-		specs = append(specs, runSpec{tech.CFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, u)})
-		specs = append(specs, runSpec{tech.FFET, core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, u)})
+		specs = append(specs, runSpec{Arch: tech.CFET, Cfg: core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, u)})
+		specs = append(specs, runSpec{Arch: tech.FFET, Cfg: core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, u)})
 	}
 	rs, sweepErr := s.runAll(specs)
 	t := &Table{
@@ -393,7 +393,7 @@ func (s *Suite) Fig11() (*Table, error) {
 		for _, u := range utils {
 			cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, u)
 			cfg.BackPinFraction = bp
-			specs = append(specs, runSpec{tech.FFET, cfg})
+			specs = append(specs, runSpec{Arch: tech.FFET, Cfg: cfg})
 		}
 	}
 	rs, sweepErr := s.runAll(specs)
@@ -463,7 +463,7 @@ func (s *Suite) Table3() (*Table, error) {
 		for _, p := range d.patterns {
 			cfg := core.DefaultFlowConfig(p, 1.5, util)
 			cfg.BackPinFraction = d.bp
-			specs = append(specs, runSpec{tech.FFET, cfg})
+			specs = append(specs, runSpec{Arch: tech.FFET, Cfg: cfg})
 		}
 	}
 	rs, sweepErr := s.runAll(specs)
@@ -530,7 +530,7 @@ func (s *Suite) Fig13() (*Table, error) {
 	for _, n := range layerCounts {
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: n, Back: n}, 1.5, 0.76)
 		cfg.BackPinFraction = 0.5
-		specs = append(specs, runSpec{tech.FFET, cfg})
+		specs = append(specs, runSpec{Arch: tech.FFET, Cfg: cfg})
 	}
 	rs, sweepErr := s.runAll(specs)
 	t := &Table{

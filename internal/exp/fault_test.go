@@ -11,25 +11,26 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/riscv"
+	"repro/internal/sweep"
 	"repro/internal/tech"
 )
 
-// faultSpecs is the sweep the fault-injection tests hammer: a three-point
-// back-pin-fraction group (shared synth root + placed-and-clocked prefix,
-// leader + two leaf forks) plus one CFET singleton — together they cross
-// every exp.* fault site and, through the flows they launch, every
-// core.stage.* site.
+// faultSpecs is the sweep the fault-injection tests hammer: three
+// back-pin-fraction points of one prefix class (shared synth root and
+// placed-and-clocked prefix, three leaf forks) plus one CFET singleton —
+// together they cross every sweep.* fault site and, through the flows
+// they launch, every core.stage.* site.
 func faultSpecs() []runSpec {
 	var specs []runSpec
 	for _, bp := range []float64{0.5, 0.3, 0.16} {
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.70)
 		cfg.BackPinFraction = bp
 		cfg.Name = fmt.Sprintf("bp%.2f", bp)
-		specs = append(specs, runSpec{arch: tech.FFET, cfg: cfg})
+		specs = append(specs, runSpec{Arch: tech.FFET, Cfg: cfg})
 	}
 	cfg := core.DefaultFlowConfig(tech.Pattern{Front: 12}, 1.5, 0.70)
 	cfg.Name = "cfet12"
-	specs = append(specs, runSpec{arch: tech.CFET, cfg: cfg})
+	specs = append(specs, runSpec{Arch: tech.CFET, Cfg: cfg})
 	return specs
 }
 
@@ -53,7 +54,7 @@ func sameOutcome(a, b *core.FlowResult) bool {
 //   - the sweep errors iff some point failed; a schedule that fired
 //     nothing yields the baseline tables exactly;
 //   - a clean retry on the SAME suite reproduces the no-fault baseline
-//     bit-identically — no cache poisoning, no poisoned synth roots;
+//     bit-identically — no cache poisoning, no poisoned checkpoints;
 //   - the test ends with no leaked goroutines.
 func TestFaultScheduleSweep(t *testing.T) {
 	tmpl := quickSuite(t)
@@ -68,16 +69,16 @@ func TestFaultScheduleSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := func() *Suite {
-		return &Suite{
+		s := &Suite{
 			Scale:       Quick,
 			FFET:        tmpl.FFET,
 			CFET:        tmpl.CFET,
 			ffetNl:      nlF,
 			cfetNl:      nlC,
-			results:     make(map[RunKey]*core.FlowResult),
-			synthRoots:  make(map[SynthClass]*synthRoot),
 			MaxParallel: 4,
 		}
+		s.initCaches(sweep.NewStore(storeBytes))
+		return s
 	}
 	specs := faultSpecs()
 	baseline, err := fresh().runAll(specs)
@@ -170,23 +171,28 @@ func TestFaultScheduleSweep(t *testing.T) {
 }
 
 // TestLeafFaultErrorCells pins the table-facing containment contract
-// deterministically: a fault that kills only leaf forks leaves the group
-// leader's numbers in the table, renders classified error cells for the
-// dead siblings, and clears completely on the next sweep.
+// deterministically: with one point pre-memoized, a fault that kills
+// every leaf run leaves the memoized point's numbers in the table,
+// renders classified error cells for the dead points, and clears
+// completely on the next sweep.
 func TestLeafFaultErrorCells(t *testing.T) {
 	s := quickSuite(t)
 	specs := faultSpecs()[:3]
+	pre, err := s.runAll(specs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	deactivate := faultinject.Activate(faultinject.New(11,
 		faultinject.WithRate(1),
 		faultinject.WithKinds(faultinject.Error),
-		faultinject.WithSites("exp.leaf")))
+		faultinject.WithSites("sweep.leaf")))
 	rs, err := s.runAll(specs)
 	deactivate()
 	if len(rs) != 3 {
 		t.Fatalf("results = %d", len(rs))
 	}
-	if rs[0].Err != nil {
-		t.Fatalf("leader point died off an exp.leaf fault: %v", rs[0].Err)
+	if rs[0] != pre[0] {
+		t.Fatalf("memoized point not served from the memo: %+v", rs[0])
 	}
 	if err == nil {
 		t.Fatal("sweep with dead leaves reported no error")
@@ -209,13 +215,13 @@ func TestLeafFaultErrorCells(t *testing.T) {
 		}
 	}
 	// Error placeholders are never memoized: the next sweep reruns only
-	// the dead leaves and reuses the leader's memo entry by pointer.
+	// the dead leaves and reuses the memoized point by pointer.
 	rs2, err2 := s.runAll(specs)
 	if err2 != nil {
 		t.Fatalf("post-fault sweep: %v", err2)
 	}
 	if rs2[0] != rs[0] {
-		t.Error("leader result not reused from memo")
+		t.Error("memoized result not reused")
 	}
 	for i := 1; i < 3; i++ {
 		if rs2[i].Err != nil {

@@ -124,6 +124,27 @@ type MCRequest struct {
 	FloorFF float64  `json:"floor_ff,omitempty"`
 }
 
+// Options maps the request onto the variation study options.
+func (r MCRequest) Options() variation.Options {
+	opt := variation.DefaultOptions()
+	if r.Samples > 0 {
+		opt.Samples = r.Samples
+	}
+	if r.Workers > 0 {
+		opt.Workers = r.Workers
+	}
+	if r.Seed != 0 {
+		opt.Seed = r.Seed
+	}
+	if r.SigmaNm > 0 {
+		opt.SigmaNm = r.SigmaNm
+	}
+	if r.FloorFF > 0 {
+		opt.FloorFF = r.FloorFF
+	}
+	return opt
+}
+
 // Summary is the deterministic result payload of one flow run: the PPA
 // metrics the paper's tables report, with stable field order and Go's
 // shortest-round-trip float rendering. Deliberately excluded: StageTimes

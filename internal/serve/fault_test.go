@@ -13,8 +13,8 @@ import (
 )
 
 // TestFaultSchedulesThroughHandlers drives seeded fault schedules —
-// errors and panics at the serve admission/memo/checkpoint/leaf sites and
-// inside every core stage — through live HTTP handlers. For every seed:
+// errors and panics at the serve.admit and sweep.* sites and inside every
+// core stage — through live flow, sweep and MC handlers. For every seed:
 // failures must surface as classified JSON error bodies (never an
 // unclassified kind, never a daemon crash), and with the schedule
 // deactivated the daemon must immediately serve offline-identical bytes
@@ -78,6 +78,12 @@ func TestFaultSchedulesThroughHandlers(t *testing.T) {
 		} else {
 			checkFaultResponse(t, seed, "/v1/sweep", status, got, &faulted, &served)
 		}
+
+		// An MC study stages its base through the same checkpoints.
+		mc := MCRequest{Base: baseSpec, Samples: 32, Seed: seed + 1}
+		mc.Base.Util = 0.70 + float64(seed%3)*0.02
+		status, got = post(t, ts, "/v1/mc", mc)
+		checkFaultResponse(t, seed, "/v1/mc", status, got, &faulted, &served)
 		deactivate()
 
 		// Faults off: the daemon must be healthy right now.
@@ -93,6 +99,28 @@ func TestFaultSchedulesThroughHandlers(t *testing.T) {
 		t.Error("no injected fault surfaced across all seeds; schedule rates too low to test anything")
 	}
 	t.Logf("fault sweep: %d failures surfaced, %d points served clean", faulted, served)
+
+	// Deterministic: a failed prefix build fails an MC request with a
+	// classified error body, and is not cached — the same request
+	// succeeds once the fault clears.
+	mc := MCRequest{Base: baseSpec, Samples: 32, Seed: 7}
+	mc.Base.Util = 0.67 // a prefix class no request above built
+	deactivate := faultinject.Activate(faultinject.New(1,
+		faultinject.WithRate(1),
+		faultinject.WithKinds(faultinject.Error),
+		faultinject.WithSites("sweep.prefix")))
+	status, got := post(t, ts, "/v1/mc", mc)
+	deactivate()
+	var eb struct {
+		Error *ErrorBody `json:"error"`
+	}
+	if status != http.StatusInternalServerError || json.Unmarshal(got, &eb) != nil ||
+		eb.Error == nil || eb.Error.Kind != "stage-failed" {
+		t.Fatalf("mc over a failed prefix build: status %d: %s", status, got)
+	}
+	if status, got := post(t, ts, "/v1/mc", mc); status != http.StatusOK {
+		t.Fatalf("mc after the prefix fault cleared: status %d: %s", status, got)
+	}
 
 	ts.Close()
 	s.Close()

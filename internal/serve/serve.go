@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/faultinject"
-	"repro/internal/tech"
+	"repro/internal/sweep"
 	"repro/internal/variation"
 )
 
@@ -24,8 +23,8 @@ import (
 type Options struct {
 	// Scale selects the benchmark workload size (exp.Quick or exp.Full).
 	Scale exp.Scale
-	// CacheBytes bounds the checkpoint cache's measured resident
-	// footprint (default 256 MiB).
+	// CacheBytes bounds the checkpoint store's measured resident
+	// footprint, experiment-table checkpoints included (default 256 MiB).
 	CacheBytes int64
 	// MaxWorkers bounds concurrent flow executions (default
 	// min(GOMAXPROCS, 12), matching exp's pool).
@@ -56,9 +55,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the ffetd daemon state: the exp suite (libraries, netlists,
-// the experiment tables and their synth-root/memo caches), the checkpoint
-// cache, the result memo, and the admission pool. Create with New, mount
-// Handler on an http.Server, and Close on shutdown.
+// the experiment tables and their memo), the checkpoint store both the
+// suite and the request handlers share, the result memo, and the
+// admission pool. Create with New, mount Handler on an http.Server, and
+// Close on shutdown.
 type Server struct {
 	opt   Options
 	suite *exp.Suite
@@ -66,17 +66,12 @@ type Server struct {
 	// parallelize internally, so concurrent tables would only fight over
 	// the pool.
 	suiteMu sync.Mutex
-	cache   *ckCache
-
+	// exec runs /v1/flow, /v1/sweep and /v1/mc over the checkpoint store
+	// the suite also uses; it keeps its own sharing counters.
+	exec *sweep.Executor
 	// memo holds the marshaled Summary of completed exact-config runs,
-	// keyed by the same memo key as exp's result cache and bounded by an
-	// entry-count LRU (Options.MemoEntries) — bodies are a few hundred
-	// bytes, so a count bound suffices where the checkpoint cache next
-	// door needs measured bytes. Error responses are never memoized.
-	memoMu                              sync.Mutex
-	memo                                map[exp.RunKey]*list.Element
-	memoLRU                             list.List // Front = most recent; values are memoEntry
-	memoHits, memoMisses, memoEvictions int64
+	// bounded by Options.MemoEntries. Error responses are never memoized.
+	memo *sweep.Memo[json.RawMessage]
 
 	// baseCtx bounds every shared build and outlives any single request;
 	// Close cancels it, killing in-flight work.
@@ -89,18 +84,14 @@ type Server struct {
 
 	accepted, rejected atomic.Int64
 	inflight           atomic.Int64
-
-	// Sweep diff-chain outcomes: leaders forked through the synth-diff
-	// path (and whether it held), vs leaders built from the checkpoint
-	// cache with a full back end.
-	diffForks, diffFallbacks, fullSynthForks atomic.Int64
 }
 
 // New builds a daemon: libraries and benchmark netlists for both
-// architectures plus an empty checkpoint cache.
+// architectures plus an empty checkpoint store.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
-	suite, err := exp.NewSuite(opt.Scale)
+	store := sweep.NewStore(opt.CacheBytes)
+	suite, err := exp.NewSuiteStore(opt.Scale, store)
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +100,8 @@ func New(opt Options) (*Server, error) {
 	return &Server{
 		opt:        opt,
 		suite:      suite,
-		cache:      newCkCache(opt.CacheBytes),
-		memo:       make(map[exp.RunKey]*list.Element),
+		exec:       sweep.NewExecutor(store, suite.Netlist),
+		memo:       sweep.NewMemo[json.RawMessage](opt.MemoEntries),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sem:        make(chan struct{}, opt.MaxWorkers),
@@ -145,10 +136,26 @@ var (
 	errDraining = errors.New("serve: draining")
 )
 
-// acquire admits one flow execution into the worker pool, waiting for a
-// slot under the request context. It fails fast when the queue bound is
-// exceeded or the daemon is draining.
+// acquire admits one flow execution into the worker pool and counts the
+// verdict; release frees the slot.
 func (s *Server) acquire(ctx context.Context) error {
+	if err := s.admit(ctx); err != nil {
+		s.rejected.Add(1)
+		return err
+	}
+	s.accepted.Add(1)
+	s.inflight.Add(1)
+	return nil
+}
+
+func (s *Server) release() {
+	s.inflight.Add(-1)
+	<-s.sem
+}
+
+// admit waits for a worker slot under the request context. It fails fast
+// when the queue bound is exceeded or the daemon is draining.
+func (s *Server) admit(ctx context.Context) error {
 	if err := faultinject.Fire("serve.admit"); err != nil {
 		return err
 	}
@@ -170,8 +177,6 @@ func (s *Server) acquire(ctx context.Context) error {
 	}
 }
 
-func (s *Server) release() { <-s.sem }
-
 // reqCtx derives the context one request's flow work runs under: the
 // request context (client disconnect cancels it) joined with the daemon
 // base context (Close cancels everything).
@@ -181,130 +186,52 @@ func (s *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	return ctx, func() { stop(); cancel() }
 }
 
-// point runs one flow config through the memo → checkpoint-cache → fork
-// path and returns the marshaled Summary. The returned session is the
-// completed leaf when the point actually ran one (nil on a memo hit) —
-// sweep chains fork the next frequency point off it — or, on failure,
-// the partially-run leaf for partial stage timings.
-// The build of a shared checkpoint deliberately runs to completion even
-// if this request's context dies while waiting — the result is cache
-// warmth for the next request — but the per-request leaf tail stops at
-// the next stage boundary after cancellation.
-// pt is the sweep point index carried on progress events, nil for
-// single-flow requests (the field is omitted from their streams).
-func (s *Server) point(ctx context.Context, arch tech.Arch, cfg core.FlowConfig, pt *int, emit func(event)) (json.RawMessage, *core.Flow, error) {
-	if err := faultinject.Fire("serve.memo"); err != nil {
-		return nil, nil, err
+// execute runs one request's points. Each point takes its own admission
+// slot, so a big sweep cannot starve single-flow clients. Checkpoint
+// builds run under the daemon context and outlive a vanished client; the
+// leaf stops at the next stage boundary after cancellation. Sweep events
+// carry their point index, and each sweep point streams its body.
+func (s *Server) execute(ctx context.Context, st *streamer, isSweep bool, pts []sweep.Point,
+	memo *sweep.Memo[json.RawMessage], finish func(context.Context, *core.Flow) (json.RawMessage, error)) []sweep.Result[json.RawMessage] {
+	job := sweep.Job[json.RawMessage]{
+		Plan:     sweep.NewPlan(pts),
+		Memo:     memo,
+		Finish:   func(leaf *core.Flow) (json.RawMessage, error) { return finish(ctx, leaf) },
+		BuildCtx: s.baseCtx,
+		Acquire: func(ctx context.Context) error {
+			err := s.acquire(ctx)
+			if err == nil && !isSweep {
+				st.emit(event{Event: "accepted"})
+			}
+			return err
+		},
+		Release: s.release,
+		Event: func(ev sweep.Event) {
+			var pt *int
+			if isSweep {
+				pt = &ev.Point
+			}
+			if ev.Kind != "" {
+				st.emit(event{Event: "checkpoint", Point: pt, Kind: ev.Kind, Hit: &ev.Hit})
+				return
+			}
+			st.emit(event{Event: "stage", Point: pt, Stage: ev.Stage.String(),
+				Ms: float64(ev.Dur) / float64(time.Millisecond)})
+		},
 	}
-	key := exp.MemoKey(arch, cfg)
-	if body := s.memoGet(key); body != nil {
-		hit := true
-		emit(event{Event: "checkpoint", Point: pt, Kind: "memo", Hit: &hit})
-		return body, nil, nil
-	}
-
-	sc, pc := exp.ClassKeys(arch, cfg)
-	root, rootHit, err := s.cache.getOrBuild(ctx, ckKey{kind: ckSynth, sc: sc}, func() (*core.Flow, error) {
-		if err := faultinject.Fire("serve.synthroot"); err != nil {
-			return nil, err
+	if isSweep {
+		job.Done = func(i int, r sweep.Result[json.RawMessage]) {
+			if r.Err == nil {
+				st.emit(event{Event: "point", Point: &i, Data: r.Value})
+			}
 		}
-		f, err := core.NewFlow(s.suite.Netlist(arch), sc.RootConfig())
-		if err != nil {
-			return nil, err
-		}
-		return f, f.RunToCtx(s.baseCtx, core.StageSynth)
-	})
-	emit(event{Event: "checkpoint", Point: pt, Kind: "synth", Hit: &rootHit})
-	if err != nil {
-		return nil, nil, err
 	}
-
-	prefix, prefHit, err := s.cache.getOrBuild(ctx, ckKey{kind: ckPrefix, sc: sc, pc: pc}, func() (*core.Flow, error) {
-		if err := faultinject.Fire("serve.prefix"); err != nil {
-			return nil, err
-		}
-		pcfg := pc.Config()
-		f, err := root.Fork(func(c *core.FlowConfig) { *c = pcfg })
-		if err != nil {
-			return nil, err
-		}
-		return f, f.RunToCtx(s.baseCtx, core.StageCTS)
-	})
-	emit(event{Event: "checkpoint", Point: pt, Kind: "prefix", Hit: &prefHit})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if err := faultinject.Fire("serve.leaf"); err != nil {
-		return nil, nil, err
-	}
-	leaf, err := prefix.Fork(func(c *core.FlowConfig) { *c = cfg })
-	if err != nil {
-		return nil, nil, err
-	}
-	body, err := s.runLeafTail(ctx, key, leaf, pt, emit)
-	if err != nil {
-		return nil, leaf, err
-	}
-	return body, leaf, nil
+	return sweep.Execute(ctx, s.exec, job)
 }
 
-// runLeafTail drives a forked leaf session's remaining stages one at a
-// time — each boundary is a progress event and a cancellation point —
-// then marshals and memoizes its Summary. A halted session (infeasible
-// powerplan, placement violation — both reachable from valid API
-// configs) stops advancing NextStage, so the loop must also break on
-// Halted or it would spin forever; the Valid=false Summary then matches
-// the offline path's early return.
-func (s *Server) runLeafTail(ctx context.Context, key exp.RunKey, leaf *core.Flow, pt *int, emit func(event)) (json.RawMessage, error) {
-	for st := leaf.NextStage(); int(st) < core.NumStages && !leaf.Halted(); st = leaf.NextStage() {
-		t0 := time.Now()
-		if err := leaf.RunToCtx(ctx, st); err != nil {
-			return nil, err
-		}
-		emit(event{Event: "stage", Point: pt, Stage: st.String(),
-			Ms: float64(time.Since(t0)) / float64(time.Millisecond)})
-	}
-	body, err := json.Marshal(NewSummary(leaf.Result()))
-	if err != nil {
-		return nil, err
-	}
-	s.memoPut(key, body)
-	return body, nil
-}
-
-// memoEntry is one LRU-listed memo record.
-type memoEntry struct {
-	key  exp.RunKey
-	body json.RawMessage
-}
-
-func (s *Server) memoGet(key exp.RunKey) json.RawMessage {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	el, ok := s.memo[key]
-	if !ok {
-		s.memoMisses++
-		return nil
-	}
-	s.memoHits++
-	s.memoLRU.MoveToFront(el)
-	return el.Value.(memoEntry).body
-}
-
-func (s *Server) memoPut(key exp.RunKey, body json.RawMessage) {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if _, ok := s.memo[key]; ok {
-		return
-	}
-	s.memo[key] = s.memoLRU.PushFront(memoEntry{key: key, body: body})
-	for len(s.memo) > s.opt.MemoEntries {
-		back := s.memoLRU.Back()
-		delete(s.memo, back.Value.(memoEntry).key)
-		s.memoLRU.Remove(back)
-		s.memoEvictions++
-	}
+// summaryBody marshals a leaf's Summary.
+func summaryBody(_ context.Context, leaf *core.Flow) (json.RawMessage, error) {
+	return json.Marshal(NewSummary(leaf.Result()))
 }
 
 // streamer serializes NDJSON event lines onto one response. A nil
@@ -378,22 +305,13 @@ func containPanic(st *streamer, w http.ResponseWriter, name string) {
 	}
 }
 
-// admissionStatus maps an admission failure to its HTTP status.
-func admissionStatus(err error) int {
+// errStatus maps a failure to its HTTP status.
+func errStatus(err error) int {
 	switch {
 	case errors.Is(err, errBusy):
 		return http.StatusTooManyRequests
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
-	default:
-		// Not an admission verdict (client disconnected while queued,
-		// injected fault, ...): classify like any flow error.
-		return errStatus(err)
-	}
-}
-
-func errStatus(err error) int {
-	switch {
 	case errors.Is(err, core.ErrInvalidConfig):
 		return http.StatusBadRequest
 	case errors.Is(err, core.ErrCancelled), errors.Is(err, context.Canceled):
@@ -403,11 +321,22 @@ func errStatus(err error) int {
 	}
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// decodeStrict decodes one JSON request body, rejecting unknown fields.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, "bad request body: "+err.Error()), http.StatusBadRequest)
+	return dec.Decode(v)
+}
+
+// badRequest answers an invalid request with a 400 invalid_config body
+// before any flow work is admitted.
+func badRequest(w http.ResponseWriter, msg string) {
+	(*streamer)(nil).httpError(w, http.StatusBadRequest, &ErrorBody{Kind: "invalid_config", Message: msg})
+}
+
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeStrict(r.Body, v); err != nil {
+		badRequest(w, "bad request body: "+err.Error())
 		return false
 	}
 	return true
@@ -415,89 +344,49 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	var spec FlowSpec
-	if !decodeJSON(w, r, &spec) {
-		return
+	if decodeJSON(w, r, &spec) {
+		s.serveOne(w, r, spec, s.memo, summaryBody, "result")
 	}
+}
+
+// serveOne answers a single-point request: it runs the spec's flow, turns
+// the leaf into a value with finish, and responds {"<key>": value} or
+// the classified error.
+func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, spec FlowSpec, memo *sweep.Memo[json.RawMessage],
+	finish func(context.Context, *core.Flow) (json.RawMessage, error), key string) {
 	arch, cfg, err := spec.Config()
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, err.Error()), http.StatusBadRequest)
+		badRequest(w, err.Error())
 		return
 	}
 	st := newStreamer(w, r)
 	defer containPanic(st, w, cfg.Name)
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
-	if err := s.acquire(ctx); err != nil {
-		s.rejected.Add(1)
-		st.httpError(w, admissionStatus(err), newErrorBody(cfg.Name, err, nil))
+	res := s.execute(ctx, st, false, []sweep.Point{{Arch: arch, Cfg: cfg}}, memo, finish)[0]
+	if res.Err != nil {
+		st.httpError(w, errStatus(res.Err), newErrorBody(cfg.Name, res.Err, res.Partial))
 		return
 	}
-	s.accepted.Add(1)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer s.release()
-	st.emit(event{Event: "accepted"})
-
-	body, partial, err := s.point(ctx, arch, cfg, nil, st.emit)
-	if err != nil {
-		st.httpError(w, errStatus(err), newErrorBody(cfg.Name, err, partial))
-		return
-	}
-	resp, _ := json.Marshal(struct {
-		Result json.RawMessage `json:"result"`
-	}{body})
+	resp, _ := json.Marshal(map[string]json.RawMessage{key: res.Value})
 	st.writeBody(w, resp)
 }
 
-// sweepPoint is one decoded /v1/sweep config.
-type sweepPoint struct {
-	arch tech.Arch
-	cfg  core.FlowConfig
-}
-
-// sweepChains partitions a sweep's point indices into frequency chains:
-// points identical up to the synthesis target (and name), sorted by
-// target and split wherever consecutive targets sit further apart than
-// exp.DiffChainMaxRelGap. Points within one chain run sequentially so
-// each can diff-fork its completed neighbor; every other point pair
-// stays parallel.
-func sweepChains(pts []sweepPoint) [][]int {
-	type chainKey struct {
-		arch tech.Arch
-		cfg  core.FlowConfig
+// sweepPoints validates a sweep request into executor points.
+func sweepPoints(req SweepRequest) ([]sweep.Point, error) {
+	specs, err := req.Points()
+	if err != nil {
+		return nil, err
 	}
-	groups := make(map[chainKey][]int)
-	var order []chainKey
-	for i, p := range pts {
-		k := chainKey{p.arch, p.cfg}
-		k.cfg.Name = ""
-		k.cfg.TargetFreqGHz = 0
-		k.cfg.Synth.TargetFreqGHz = 0
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+	pts := make([]sweep.Point, len(specs))
+	for i, sp := range specs {
+		arch, cfg, err := sp.Config()
+		if err != nil {
+			return nil, fmt.Errorf("point %d: %v", i, err)
 		}
-		groups[k] = append(groups[k], i)
+		pts[i] = sweep.Point{Arch: arch, Cfg: cfg}
 	}
-	var chains [][]int
-	for _, k := range order {
-		idxs := groups[k]
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return pts[idxs[a]].cfg.TargetFreqGHz < pts[idxs[b]].cfg.TargetFreqGHz
-		})
-		var run []int
-		for j, i := range idxs {
-			if j > 0 {
-				lo := pts[idxs[j-1]].cfg.TargetFreqGHz
-				if lo <= 0 || pts[i].cfg.TargetFreqGHz-lo > exp.DiffChainMaxRelGap*lo {
-					chains = append(chains, run)
-					run = nil
-				}
-			}
-			run = append(run, i)
-		}
-		chains = append(chains, run)
-	}
-	return chains
+	return pts, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -505,131 +394,29 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	specs, err := req.Points()
+	pts, err := sweepPoints(req)
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, err.Error()), http.StatusBadRequest)
+		badRequest(w, err.Error())
 		return
 	}
-	pts := make([]sweepPoint, len(specs))
-	for i, sp := range specs {
-		arch, cfg, err := sp.Config()
-		if err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, fmt.Sprintf("point %d: %v", i, err)), http.StatusBadRequest)
-			return
-		}
-		pts[i] = sweepPoint{arch, cfg}
-	}
 	st := newStreamer(w, r)
-	// Per-point goroutines contain their own panics below; this catches
-	// the outer sweep path (result assembly, marshal) so those too die as
-	// a classified 500 instead of a dropped connection.
+	// The executor contains per-point panics; this catches the outer
+	// sweep path (result assembly, marshal) so those too die as a
+	// classified 500 instead of a dropped connection.
 	defer containPanic(st, w, "sweep")
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	st.emit(event{Event: "accepted"})
 
-	// Each point takes its own pool slot: a sweep is N admissions, so a
-	// big sweep cannot starve single-flow clients for its whole duration.
-	type slot struct {
-		body json.RawMessage
-		err  *ErrorBody
-	}
-	out := make([]slot, len(pts))
-	// runPoint executes one sweep point and returns the session the
-	// chain's next point should diff-fork from: the completed leaf, or
-	// prev unchanged on a memo hit, or nil when the point died. When prev
-	// is non-nil the point forks it through the synth-diff path
-	// (core.Flow.ForkSynthDiff) — the child re-synthesizes at its own
-	// target but adopts the neighbor's placement/partition/route/STA
-	// state wherever the diff gates hold, bit-identically — and the
-	// "synthdiff" checkpoint event plus the sweep counters record which
-	// way it went.
-	runPoint := func(i int, prev *core.Flow) (done *core.Flow) {
-		p := pts[i]
-		// Panics in a per-point goroutine would kill the process, not
-		// just a handler — contain them into the point's error slot.
-		defer func() {
-			if r := recover(); r != nil {
-				out[i] = slot{err: newErrorBody(p.cfg.Name, core.NewPanicError(p.cfg.Name, r), nil)}
-				done = nil
-			}
-		}()
-		if err := s.acquire(ctx); err != nil {
-			s.rejected.Add(1)
-			out[i] = slot{err: newErrorBody(p.cfg.Name, err, nil)}
-			return nil
-		}
-		s.accepted.Add(1)
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		defer s.release()
-		if prev != nil {
-			key := exp.MemoKey(p.arch, p.cfg)
-			if body := s.memoGet(key); body != nil {
-				hit := true
-				st.emit(event{Event: "checkpoint", Point: &i, Kind: "memo", Hit: &hit})
-				out[i] = slot{body: body}
-				st.emit(event{Event: "point", Point: &i, Data: body})
-				return prev
-			}
-			if child, dst, err := prev.ForkSynthDiffCtx(ctx, func(c *core.FlowConfig) { *c = p.cfg }); err == nil {
-				if dst.DiffPath {
-					s.diffForks.Add(1)
-				} else {
-					s.diffFallbacks.Add(1)
-				}
-				st.emit(event{Event: "checkpoint", Point: &i, Kind: "synthdiff", Hit: &dst.DiffPath})
-				body, err := s.runLeafTail(ctx, key, child, &i, st.emit)
-				if err != nil {
-					out[i] = slot{err: newErrorBody(p.cfg.Name, err, child)}
-					return nil
-				}
-				out[i] = slot{body: body}
-				st.emit(event{Event: "point", Point: &i, Data: body})
-				return child
-			}
-			// A hard fork failure (race, cancellation) falls through to
-			// the checkpoint-cache path, which classifies its own errors.
-		}
-		body, leaf, err := s.point(ctx, p.arch, p.cfg, &i, st.emit)
-		if err != nil {
-			out[i] = slot{err: newErrorBody(p.cfg.Name, err, leaf)}
-			return nil
-		}
-		if leaf != nil {
-			s.fullSynthForks.Add(1)
-		}
-		out[i] = slot{body: body}
-		st.emit(event{Event: "point", Point: &i, Data: body})
-		return leaf
-	}
-	// Frequency chains run sequentially — each point diff-forks the
-	// nearest completed lower-target neighbor — while distinct chains
-	// (different non-target config axes, or target clusters further apart
-	// than the diff gates plausibly reach) keep fanning out in parallel.
-	var wg sync.WaitGroup
-	for _, chain := range sweepChains(pts) {
-		wg.Add(1)
-		go func(chain []int) {
-			defer wg.Done()
-			var prev *core.Flow
-			for _, i := range chain {
-				prev = runPoint(i, prev)
-			}
-		}(chain)
-	}
-	wg.Wait()
-
-	results := make([]json.RawMessage, len(out))
-	for i, sl := range out {
-		if sl.err != nil {
-			b, _ := json.Marshal(struct {
+	rs := s.execute(ctx, st, true, pts, s.memo, summaryBody)
+	results := make([]json.RawMessage, len(rs))
+	for i, res := range rs {
+		results[i] = res.Value
+		if res.Err != nil {
+			results[i], _ = json.Marshal(struct {
 				Error *ErrorBody `json:"error"`
-			}{sl.err})
-			results[i] = b
-			continue
+			}{newErrorBody(pts[i].Cfg.Name, res.Err, res.Partial)})
 		}
-		results[i] = sl.body
 	}
 	resp, _ := json.Marshal(struct {
 		Results []json.RawMessage `json:"results"`
@@ -637,135 +424,45 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	st.writeBody(w, resp)
 }
 
+// handleMC runs a variation study on the completed flow of the base
+// spec, staged through the same checkpoints as /v1/flow. The study needs
+// the live session (engine + RC), so it never reads the result memo.
 func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	var req MCRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	arch, cfg, err := req.Base.Config()
-	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, err.Error()), http.StatusBadRequest)
-		return
-	}
-	st := newStreamer(w, r)
-	defer containPanic(st, w, cfg.Name)
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	if err := s.acquire(ctx); err != nil {
-		s.rejected.Add(1)
-		st.httpError(w, admissionStatus(err), newErrorBody(cfg.Name, err, nil))
-		return
-	}
-	s.accepted.Add(1)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer s.release()
-	st.emit(event{Event: "accepted"})
-
-	// The MC basis is the completed flow of the base spec — staged
-	// through the same checkpoint path as /v1/flow, so concurrent MC
-	// requests on one design share its prefix. The basis needs the live
-	// session (engine + RC), so this never reads the result memo.
-	sc, pc := exp.ClassKeys(arch, cfg)
-	body, partial, err := s.mcPoint(ctx, arch, cfg, sc, pc, req, st.emit)
-	if err != nil {
-		st.httpError(w, errStatus(err), newErrorBody(cfg.Name, err, partial))
-		return
-	}
-	st.writeBody(w, body)
-}
-
-// mcPoint stages the base flow through the checkpoint cache, runs it to
-// completion, and samples the variation study off its basis.
-func (s *Server) mcPoint(ctx context.Context, arch tech.Arch, cfg core.FlowConfig, sc exp.SynthClass, pc exp.PrefixClass, req MCRequest, emit func(event)) (json.RawMessage, *core.Flow, error) {
-	root, _, err := s.cache.getOrBuild(ctx, ckKey{kind: ckSynth, sc: sc}, func() (*core.Flow, error) {
-		f, err := core.NewFlow(s.suite.Netlist(arch), sc.RootConfig())
+	s.serveOne(w, r, req.Base, nil, func(ctx context.Context, leaf *core.Flow) (json.RawMessage, error) {
+		basis, err := leaf.VariationBasis()
 		if err != nil {
 			return nil, err
 		}
-		return f, f.RunToCtx(s.baseCtx, core.StageSynth)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	prefix, hit, err := s.cache.getOrBuild(ctx, ckKey{kind: ckPrefix, sc: sc, pc: pc}, func() (*core.Flow, error) {
-		pcfg := pc.Config()
-		f, err := root.Fork(func(c *core.FlowConfig) { *c = pcfg })
+		sum, err := variation.Study(ctx, basis, req.Options())
 		if err != nil {
 			return nil, err
 		}
-		return f, f.RunToCtx(s.baseCtx, core.StageCTS)
-	})
-	emit(event{Event: "checkpoint", Kind: "prefix", Hit: &hit})
-	if err != nil {
-		return nil, nil, err
-	}
-	leaf, err := prefix.Fork(func(c *core.FlowConfig) { *c = cfg })
-	if err != nil {
-		return nil, nil, err
-	}
-	// Halted sessions stop advancing NextStage — break instead of
-	// spinning; VariationBasis then rejects the invalid flow cleanly.
-	for st := leaf.NextStage(); int(st) < core.NumStages && !leaf.Halted(); st = leaf.NextStage() {
-		t0 := time.Now()
-		if err := leaf.RunToCtx(ctx, st); err != nil {
-			return nil, leaf, err
-		}
-		emit(event{Event: "stage", Stage: st.String(),
-			Ms: float64(time.Since(t0)) / float64(time.Millisecond)})
-	}
-	basis, err := leaf.VariationBasis()
-	if err != nil {
-		return nil, leaf, err
-	}
-	opt := variation.DefaultOptions()
-	if req.Samples > 0 {
-		opt.Samples = req.Samples
-	}
-	if req.Workers > 0 {
-		opt.Workers = req.Workers
-	}
-	if req.Seed != 0 {
-		opt.Seed = req.Seed
-	}
-	if req.SigmaNm > 0 {
-		opt.SigmaNm = req.SigmaNm
-	}
-	if req.FloorFF > 0 {
-		opt.FloorFF = req.FloorFF
-	}
-	sum, err := variation.Study(ctx, basis, opt)
-	if err != nil {
-		return nil, leaf, err
-	}
-	body, err := json.Marshal(struct {
-		MC MCSummary `json:"mc"`
-	}{NewMCSummary(sum)})
-	return body, nil, err
+		return json.Marshal(NewMCSummary(sum))
+	}, "mc")
 }
 
 // handleExp runs one experiment table (?id=fig09) through the embedded
 // exp suite — the batch runner served over HTTP. Tables share the
-// suite's synth-root cache and result memo across requests; /debug/stats
-// republishes those counters.
+// daemon's checkpoint store and the suite's result memo across requests;
+// /debug/stats republishes the suite counters.
 func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	run, ok := s.suite.Experiment(id)
 	if !ok {
-		http.Error(w, fmt.Sprintf(`{"error":{"kind":"invalid_config","message":%q}}`, "unknown experiment id "+id), http.StatusBadRequest)
+		badRequest(w, "unknown experiment id "+id)
 		return
 	}
 	defer containPanic(nil, w, id)
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	if err := s.acquire(ctx); err != nil {
-		s.rejected.Add(1)
-		(*streamer)(nil).httpError(w, admissionStatus(err), newErrorBody(id, err, nil))
+		(*streamer)(nil).httpError(w, errStatus(err), newErrorBody(id, err, nil))
 		return
 	}
-	s.accepted.Add(1)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	defer s.release()
 
 	s.suiteMu.Lock()
@@ -790,29 +487,15 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// Stats is the /debug/stats payload.
+// Stats is the /debug/stats payload. Exp and Sweep count the same
+// sharing outcomes for /v1/exp tables and for the flow, sweep and MC
+// endpoints respectively.
 type Stats struct {
-	Checkpoint ckStats        `json:"checkpoint"`
-	Memo       memoStats      `json:"memo"`
-	Exp        exp.CacheStats `json:"exp"`
-	Sweep      sweepStats     `json:"sweep"`
-	Requests   reqStats       `json:"requests"`
-}
-
-type memoStats struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Evictions  int64 `json:"evictions"`
-	Entries    int   `json:"entries"`
-	MaxEntries int   `json:"max_entries"`
-}
-
-// sweepStats counts /v1/sweep frequency-chain outcomes. (The exp section
-// next door counts the same split for /v1/exp table sweeps.)
-type sweepStats struct {
-	DiffForks      int64 `json:"diff_forks"`
-	DiffFallbacks  int64 `json:"diff_fallbacks"`
-	FullSynthForks int64 `json:"full_synth_forks"`
+	Checkpoint sweep.StoreStats `json:"checkpoint"`
+	Memo       sweep.MemoStats  `json:"memo"`
+	Exp        exp.CacheStats   `json:"exp"`
+	Sweep      sweep.Stats      `json:"sweep"`
+	Requests   reqStats         `json:"requests"`
 }
 
 type reqStats struct {
@@ -825,19 +508,11 @@ type reqStats struct {
 
 // StatsSnapshot collects every cache and admission counter.
 func (s *Server) StatsSnapshot() Stats {
-	s.memoMu.Lock()
-	memo := memoStats{Hits: s.memoHits, Misses: s.memoMisses,
-		Evictions: s.memoEvictions, Entries: len(s.memo), MaxEntries: s.opt.MemoEntries}
-	s.memoMu.Unlock()
 	return Stats{
-		Checkpoint: s.cache.stats(),
-		Memo:       memo,
+		Checkpoint: s.exec.Store().Stats(),
+		Memo:       s.memo.Stats(),
 		Exp:        s.suite.Stats(),
-		Sweep: sweepStats{
-			DiffForks:      s.diffForks.Load(),
-			DiffFallbacks:  s.diffFallbacks.Load(),
-			FullSynthForks: s.fullSynthForks.Load(),
-		},
+		Sweep:      s.exec.Stats(),
 		Requests: reqStats{
 			Accepted: s.accepted.Load(),
 			Rejected: s.rejected.Load(),

@@ -1,4 +1,4 @@
-package serve
+package sweep
 
 import (
 	"container/list"
@@ -6,42 +6,25 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 )
 
-// ckKind distinguishes the two checkpoint depths the cache retains,
-// mirroring exp's two sharing classes.
-type ckKind uint8
-
-const (
-	ckSynth  ckKind = iota // post-synthesis root (StageSynth)
-	ckPrefix               // placed-and-clocked prefix (StageCTS)
-)
-
-func (k ckKind) String() string {
-	if k == ckSynth {
-		return "synth"
-	}
-	return "prefix"
+// storeKey is the comparable identity of one checkpoint: the sharing
+// class of the staged work it holds. A synthesis root is keyed by its
+// SynthClass (pc zero); a placed-and-clocked prefix by its PrefixClass.
+type storeKey struct {
+	prefix bool
+	sc     SynthClass
+	pc     PrefixClass
 }
 
-// ckKey is the comparable identity of one checkpoint: the sharing class
-// of the staged work it holds. pc is the zero value for synth roots.
-type ckKey struct {
-	kind ckKind
-	sc   exp.SynthClass
-	pc   exp.PrefixClass
-}
-
-// ckEntry is one cached checkpoint. Until ready closes, the entry is a
-// pending build owned by the goroutine that inserted it — concurrent
-// requests for the same key coalesce by waiting on ready instead of
+// storeEntry is one cached checkpoint. Until ready closes, the entry is
+// a pending build owned by the goroutine that inserted it — concurrent
+// lookups of the same key coalesce by waiting on ready instead of
 // building their own copy. Failed builds never stay cached: the builder
-// removes the entry before closing ready, so the next request retries
-// from scratch (the same never-cache-failures contract as exp's
-// synthesis roots).
-type ckEntry struct {
-	key   ckKey
+// removes the entry before closing ready, so the next lookup retries
+// from scratch.
+type storeEntry struct {
+	key   storeKey
 	ready chan struct{}
 	flow  *core.Flow // set before ready closes on success
 	err   error      // set before ready closes on failure
@@ -51,39 +34,43 @@ type ckEntry struct {
 	elem   *list.Element
 }
 
-// ckStats is a point-in-time snapshot of the cache counters.
-type ckStats struct {
+// StoreStats is a point-in-time snapshot of the store counters. Roots
+// counts the synthesis roots among the Entries.
+type StoreStats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
 	Coalesced     int64 `json:"coalesced"`
 	Evictions     int64 `json:"evictions"`
 	Entries       int   `json:"entries"`
+	Roots         int   `json:"roots"`
 	ResidentBytes int64 `json:"resident_bytes"`
 	BudgetBytes   int64 `json:"budget_bytes"`
 }
 
-// ckCache is the cross-request checkpoint cache: an LRU of staged
-// core.Flow sessions keyed by sharing class, bounded by the measured
-// byte footprint of the retained sessions. Eviction is cost-aware: among
-// the least-recently-used tail it drops the entry with the worst
-// bytes-per-rebuild-nanosecond, so a cheap-to-rebuild synthesis root goes
-// before an expensive placed prefix of the same size. Evicted sessions
-// stay valid for requests already forking off them — the cache drops its
-// reference, the garbage collector waits for theirs.
-type ckCache struct {
+// Store is the checkpoint store: an LRU of staged core.Flow sessions
+// (synthesis roots and placed-and-clocked prefixes) keyed by sharing
+// class, bounded by the measured byte footprint of the retained
+// sessions. Eviction is cost-aware: among the least-recently-used tail
+// it drops the entry with the worst bytes-per-rebuild-nanosecond, so a
+// cheap-to-rebuild synthesis root goes before an expensive placed prefix
+// of the same size. Evicted sessions stay valid for callers already
+// forking off them — the store drops its reference, the garbage
+// collector waits for theirs.
+type Store struct {
 	mu      sync.Mutex
 	budget  int64
-	entries map[ckKey]*ckEntry
-	lru     *list.List // Front = most recently used; values are *ckEntry
+	entries map[storeKey]*storeEntry
+	lru     *list.List // Front = most recently used; values are *storeEntry
 
 	resident                           int64
 	hits, misses, coalesced, evictions int64
 }
 
-func newCkCache(budgetBytes int64) *ckCache {
-	return &ckCache{
+// NewStore returns an empty store bounded by budgetBytes.
+func NewStore(budgetBytes int64) *Store {
+	return &Store{
 		budget:  budgetBytes,
-		entries: make(map[ckKey]*ckEntry),
+		entries: make(map[storeKey]*storeEntry),
 		lru:     list.New(),
 	}
 }
@@ -91,18 +78,19 @@ func newCkCache(budgetBytes int64) *ckCache {
 // getOrBuild returns the checkpoint session for key, building it with
 // build on first use. Exactly one goroutine builds a given key at a time;
 // the others coalesce onto the pending build and wait for it under their
-// own request context (waitCtx), so a client disconnect abandons the wait
+// own context (waitCtx), so a caller that gives up abandons the wait
 // without disturbing the shared build. The reported hit is true when the
-// session came from cache (including a coalesced wait) and false when
-// this call built it.
-func (c *ckCache) getOrBuild(waitCtx context.Context, key ckKey, build func() (*core.Flow, error)) (flow *core.Flow, hit bool, err error) {
+// session came from the store (including a coalesced wait) and false
+// when this call built it.
+func (c *Store) getOrBuild(waitCtx context.Context, key storeKey, build func() (*core.Flow, error)) (flow *core.Flow, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		select {
 		case <-e.ready:
-			// Only successful builds stay in the map once ready closes.
+			// Only successful, retained builds stay in the map once ready
+			// closes, so e.elem is set.
 			c.hits++
-			c.touchLocked(e)
+			c.lru.MoveToFront(e.elem)
 			c.mu.Unlock()
 			return e.flow, true, nil
 		default:
@@ -115,7 +103,7 @@ func (c *ckCache) getOrBuild(waitCtx context.Context, key ckKey, build func() (*
 				}
 				c.mu.Lock()
 				if c.entries[key] == e {
-					c.touchLocked(e)
+					c.lru.MoveToFront(e.elem)
 				}
 				c.mu.Unlock()
 				return e.flow, true, nil
@@ -124,7 +112,7 @@ func (c *ckCache) getOrBuild(waitCtx context.Context, key ckKey, build func() (*
 			}
 		}
 	}
-	e := &ckEntry{key: key, ready: make(chan struct{})}
+	e := &storeEntry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
 	c.misses++
 	c.mu.Unlock()
@@ -152,23 +140,15 @@ func (c *ckCache) getOrBuild(waitCtx context.Context, key ckKey, build func() (*
 	return flow, false, nil
 }
 
-// runBuild contains builder panics the same way exp contains sweep-point
-// panics: a panicking stage body must kill only this build, not the
-// daemon.
+// runBuild contains panics in a checkpoint build the way the executor
+// contains point panics: a panicking stage body kills only this build.
 func runBuild(build func() (*core.Flow, error)) (flow *core.Flow, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			flow, err = nil, core.NewPanicError("serve.checkpoint", r)
+			flow, err = nil, core.NewPanicError("sweep.checkpoint", r)
 		}
 	}()
 	return build()
-}
-
-// touchLocked moves e to the LRU front.
-func (c *ckCache) touchLocked(e *ckEntry) {
-	if e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-	}
 }
 
 // evictLocked drops entries until the resident footprint fits the
@@ -176,15 +156,15 @@ func (c *ckCache) touchLocked(e *ckEntry) {
 // small window, so recency still dominates): the entry with the lowest
 // rebuild-cost-per-byte goes first. An entry larger than the whole
 // budget is evicted immediately — its waiters already hold the session
-// reference, the cache just declines to retain it.
-func (c *ckCache) evictLocked() {
+// reference, the store just declines to retain it.
+func (c *Store) evictLocked() {
 	const window = 4
 	for c.resident > c.budget && c.lru.Len() > 0 {
 		victim := c.lru.Back()
-		best := victim.Value.(*ckEntry)
+		best := victim.Value.(*storeEntry)
 		bestScore := score(best)
 		for el, i := victim.Prev(), 1; el != nil && i < window; el, i = el.Prev(), i+1 {
-			if e := el.Value.(*ckEntry); score(e) < bestScore {
+			if e := el.Value.(*storeEntry); score(e) < bestScore {
 				victim, best, bestScore = el, e, score(e)
 			}
 		}
@@ -198,7 +178,7 @@ func (c *ckCache) evictLocked() {
 
 // score ranks eviction candidates: rebuild nanoseconds bought per
 // resident byte. Lower is a better victim.
-func score(e *ckEntry) float64 {
+func score(e *storeEntry) float64 {
 	b := e.bytes
 	if b <= 0 {
 		b = 1
@@ -216,10 +196,11 @@ func checkpointCostNs(f *core.Flow) int64 {
 	return total
 }
 
-func (c *ckCache) stats() ckStats {
+// Stats snapshots the store counters.
+func (c *Store) Stats() StoreStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return ckStats{
+	st := StoreStats{
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Coalesced:     c.coalesced,
@@ -228,4 +209,10 @@ func (c *ckCache) stats() ckStats {
 		ResidentBytes: c.resident,
 		BudgetBytes:   c.budget,
 	}
+	for k := range c.entries {
+		if !k.prefix {
+			st.Roots++
+		}
+	}
+	return st
 }
