@@ -9,8 +9,10 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cts"
@@ -400,8 +402,12 @@ func BenchmarkSweepIncrementalPlace(b *testing.B) {
 // BenchmarkFlowSingleRun measures one complete physical implementation +
 // PPA flow on the quick-scale core (the unit of work behind every figure).
 // Each iteration varies the seed so memoization never short-circuits it.
+// The place_ms/op metric is the median StagePlace time over the
+// iterations: global placement, plus the legalization and refinement
+// bases the suite's staged sessions build at that checkpoint.
 func BenchmarkFlowSingleRun(b *testing.B) {
 	s := getSuite(b)
+	place := make([]time.Duration, 0, b.N)
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.72)
 		cfg.BackPinFraction = 0.5
@@ -414,7 +420,10 @@ func BenchmarkFlowSingleRun(b *testing.B) {
 			fmt.Printf("single flow: %.3f GHz, %.1f uW, %.1f um2, valid=%v\n",
 				res.AchievedFreqGHz, res.PowerUW, res.CoreAreaUm2, res.Valid)
 		}
+		place = append(place, res.StageTimes[core.StagePlace])
 	}
+	slices.Sort(place)
+	b.ReportMetric(float64(place[len(place)/2])/float64(time.Millisecond), "place_ms/op")
 }
 
 // BenchmarkVariationMC measures the Monte Carlo overlay-variation STA

@@ -32,8 +32,14 @@ func main() {
 
 	ffet := cell.NewLibrary(tech.NewFFET())
 	cfet := cell.NewLibrary(tech.NewCFET())
-	nlF, _, _ := riscv.Generate(ffet, riscv.Config{Name: "rv32", Registers: *regs})
-	nlC, _ := nlF.Remap(cfet)
+	nlF, _, err := riscv.Generate(ffet, riscv.Config{Name: "rv32", Registers: *regs})
+	if err != nil {
+		cliutil.Fail("ffetcal", err)
+	}
+	nlC, err := nlF.Remap(cfet)
+	if err != nil {
+		cliutil.Fail("ffetcal", err)
+	}
 
 	type cfgSpec struct {
 		label string

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -126,8 +127,8 @@ func Global(nl *netlist.Netlist, fp *floorplan.Plan, opt Options) {
 
 // GlobalCtx is Global under a context: cancellation is observed between
 // refinement iterations and the pass is abandoned mid-placement (the
-// netlist holds partial positions — callers must treat a cancelled
-// placement as unusable).
+// netlist holds the positions of the last completed iteration — callers
+// must treat a cancelled placement as unusable).
 func GlobalCtx(ctx context.Context, nl *netlist.Netlist, fp *floorplan.Plan, opt Options) error {
 	done := ctx.Done()
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -140,409 +141,352 @@ func GlobalCtx(ctx context.Context, nl *netlist.Netlist, fp *floorplan.Plan, opt
 	}
 	fp.PlaceIOPorts(nl)
 
-	// One workspace shared by every pass of the whole placement: centroid
-	// accumulators indexed by Instance.Seq (flat int64 slices instead of
-	// the pointer-keyed maps that dominated allocation volume and GC time
-	// of the whole flow), the movable-cell list every rankSpread pass
-	// re-sorts, and the spread density grid with its per-bin cell lists —
-	// all rebuilt in place instead of reallocated per pass.
-	ws := newGlobalWorkspace(len(nl.Instances))
-	ws.buildRanks(nl)
-	ws.buildFootprints(nl, fp)
+	// Connectivity, Fixed and port positions are static from here on, so
+	// the kernel flattens them once. Every pass then runs over Seq-indexed
+	// integer arrays, and Instance.Pos is written once, on return.
+	g := newGlobalKernel(nl, fp, opt.MaxAttractFanout)
+	defer g.store(nl.Instances)
 	for it := 0; it < opt.GlobalIters; it++ {
 		if err := pollCtx(ctx, done); err != nil {
 			return err
 		}
-		ws.attract(nl, fp, opt)
-		ws.attract(nl, fp, opt)
+		g.attract()
+		g.attract()
 		if it%2 == 1 || it == opt.GlobalIters-1 {
-			ws.rankSpread(nl, fp)
+			g.rankSpread()
 		}
 	}
 	// Local density cleanup then a last pull.
-	ws.spread(nl, fp, opt)
-	ws.attract(nl, fp, opt)
+	g.spread(opt.BinCount)
+	g.attract()
 	return nil
 }
 
-// rankSpread redistributes cells uniformly along each axis by rank,
-// preserving relative order (Gordian-style linear scaling). It undoes the
-// central collapse of pure attraction while keeping neighborhoods intact.
-// The rank order comes from the workspace's retained axis buckets: only
-// buckets whose membership or keys changed since the previous pass are
-// re-sorted, and the (position, name) tiebreak compares precomputed
-// integer name ranks, never strings. Both are bit-invisible: names are
-// unique, so (position, nameRank) is the same total order as (position,
-// Name), and the concatenated per-bucket orders equal the full sort.
-func (ws *globalWorkspace) rankSpread(nl *netlist.Netlist, fp *floorplan.Plan) {
-	cells := ws.movableCells(nl)
-	if len(cells) < 2 {
-		return
-	}
-	W, H := fp.Core.W(), fp.Core.H()
+// radixBits is the digit width of rankOrder's LSD radix sort.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// globalKernel is the state of one Global call over flat arrays indexed
+// by Instance.Seq. Everything is sized at construction, so no pass
+// allocates.
+//
+// The model is integer arithmetic throughout, and integer sums do not
+// depend on the order of their terms: flat loops over the same endpoints
+// produce the same sums, so every quotient and position is exact.
+type globalKernel struct {
+	core geom.Rect
+	// x, y are the instances' lower-left corners, the working copy of
+	// Instance.Pos.
+	x, y []int64
+	// movable lists the movable Seqs in Name order. Names are unique, so
+	// this is the tiebreak order of every rank and spread pass.
+	movable []int32
+
+	// The attraction nets (not clock, fanout ≤ MaxAttractFanout) as a CSR:
+	// net k's endpoints are ep[start[k]:start[k+1]], driver first, then
+	// sinks in order. ep[i] ≥ 0 is the Seq of a movable instance; ep[i] < 0
+	// is ^j, a static endpoint (a port, or a fixed instance's center)
+	// whose position is sx[j], sy[j].
+	start  []int32
+	ep     []int32
+	sx, sy []int64
+	// halfW is the base-drive half width by Seq and halfH half the cell
+	// height: an instance endpoint sits at (x+halfW, y+halfH).
+	halfW []int64
+	halfH int64
+	// cnt is each instance's endpoint count over the CSR, and pulled the
+	// movable Seqs with cnt > 0: attraction moves exactly these.
+	cnt        []int64
+	pulled     []int32
+	sumX, sumY []int64
+	ex, ey     []int64 // one net's endpoint positions
+
+	baseA []int64 // base-drive area by Seq, the spread model's footprint
+
+	// ord/key and their twins are rankOrder's ping-pong radix buffers.
+	ord, ordTmp []int32
+	key, keyTmp []uint64
+	count       [1 << radixBits]int32
+}
+
+func newGlobalKernel(nl *netlist.Netlist, fp *floorplan.Plan, maxFanout int) *globalKernel {
 	insts := nl.Instances
-	n := int64(len(cells) - 1)
-	for i, seq := range ws.rankOrder(&ws.bx, cells, W, true) {
-		inst := insts[seq]
-		x := int64(i) * W / n
-		// Blend: 60% rank position, 40% attracted position.
-		inst.Pos = geom.Pt((x*3+inst.Pos.X*2)/5, inst.Pos.Y)
+	n := len(insts)
+	g := &globalKernel{
+		core:    fp.Core,
+		x:       make([]int64, n),
+		y:       make([]int64, n),
+		movable: make([]int32, 0, n),
+		halfW:   make([]int64, n),
+		halfH:   fp.Stack.CellHeightNm() / 2,
+		cnt:     make([]int64, n),
+		sumX:    make([]int64, n),
+		sumY:    make([]int64, n),
+		baseA:   make([]int64, n),
 	}
-	for i, seq := range ws.rankOrder(&ws.by, cells, H, false) {
-		inst := insts[seq]
-		y := int64(i) * H / n
-		inst.Pos = geom.Pt(inst.Pos.X, (y*3+inst.Pos.Y*2)/5)
-	}
-}
-
-// globalWorkspace holds every buffer the global-placement passes reuse:
-// centroid accumulators indexed by Instance.Seq, per-net endpoint
-// buffers, the movable-cell list, and the spread density grid. One
-// workspace serves a whole Global call, so repeated passes allocate
-// nothing.
-type globalWorkspace struct {
-	sumX, sumY, cnt []int64
-	pts             []geom.Point
-	insts           []*netlist.Instance
-	cells           []*netlist.Instance // movable cells, rebuilt in place per pass
-	bins            []densityBin        // spread density grid, per-bin lists reused
-
-	// nameRank[seq] is the instance's position in the Name-sorted order,
-	// computed once per Global call. Every per-pass tiebreak that used to
-	// compare Name strings compares these ints instead; names are unique,
-	// so any (key, nameRank) order is exactly the (key, Name) order.
-	nameRank []int32
-	// baseW/baseA[seq] are the base-drive footprint width and area used by
-	// the attraction and spread models, computed once per Global call.
-	// Drive-independent by construction: resizing a cell to another drive
-	// of the same base leaves both unchanged.
-	baseW, baseA []int64
-	// axisKey[seq] is the current rankSpread pass's coordinate on the axis
-	// being ordered, snapshotted flat so bucket sorts read a contiguous
-	// array instead of chasing instance pointers.
-	axisKey []int64
-	// bx, by are the retained per-axis rank-order buckets: rankSpread
-	// re-sorts only buckets whose membership changed between passes.
-	bx, by axisBuckets
-}
-
-func newGlobalWorkspace(n int) *globalWorkspace {
-	return &globalWorkspace{
-		sumX:     make([]int64, n),
-		sumY:     make([]int64, n),
-		cnt:      make([]int64, n),
-		nameRank: make([]int32, n),
-		axisKey:  make([]int64, n),
-		baseW:    make([]int64, n),
-		baseA:    make([]int64, n),
-	}
-}
-
-// buildFootprints fills baseW/baseA with each instance's base-drive
-// footprint: the lowest-drive library variant of the instance's Base cell.
-// Hand-built cells outside a library (or netlists without one) fall back
-// to their own sized footprint.
-func (ws *globalWorkspace) buildFootprints(nl *netlist.Netlist, fp *floorplan.Plan) {
-	for _, inst := range nl.Instances {
+	for _, inst := range insts {
+		s := inst.Seq
+		g.x[s], g.y[s] = inst.Pos.X, inst.Pos.Y
+		// The base-drive footprint: the lowest-drive library variant of the
+		// instance's Base cell. Hand-built cells outside a library (or
+		// netlists without one) keep their own sized footprint.
 		c := inst.Cell
 		if nl.Lib != nil {
 			if base := nl.Lib.PickDrive(c.Base, 1); base != nil {
 				c = base
 			}
 		}
-		ws.baseW[inst.Seq] = c.WidthNm(fp.Stack)
-		ws.baseA[inst.Seq] = c.AreaNm2(fp.Stack)
+		g.halfW[s] = c.WidthNm(fp.Stack) / 2
+		g.baseA[s] = c.AreaNm2(fp.Stack)
+		if !inst.Fixed {
+			g.movable = append(g.movable, int32(s))
+		}
 	}
-}
-
-// endpoint is pinPoint over base-drive footprints: the attraction model's
-// view of a net endpoint.
-func (ws *globalWorkspace) endpoint(ref netlist.PinRef, fp *floorplan.Plan) geom.Point {
-	if ref.IsPort() {
-		return ref.Port.Pos
-	}
-	inst := ref.Inst
-	return geom.Pt(inst.Pos.X+ws.baseW[inst.Seq]/2, inst.Pos.Y+fp.Stack.CellHeightNm()/2)
-}
-
-// buildRanks fills nameRank with each instance's position in the
-// Name-sorted order. One string sort per Global call replaces the string
-// compares of every later spread/rankSpread tiebreak.
-func (ws *globalWorkspace) buildRanks(nl *netlist.Netlist) {
-	insts := nl.Instances
-	ord := make([]int32, len(insts))
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	slices.SortFunc(ord, func(a, b int32) int {
+	slices.SortFunc(g.movable, func(a, b int32) int {
 		return strings.Compare(insts[a].Name, insts[b].Name)
 	})
-	for i, seq := range ord {
-		ws.nameRank[seq] = int32(i)
-	}
-}
 
-// axisBuckets is the retained bucketed order of one rankSpread axis. Cells
-// are binned by coordinate into equal-width buckets whose ranges partition
-// the axis, so concatenating the per-bucket sorted runs yields the full
-// (key, nameRank) order. Between passes the previous generation's
-// membership, keys and sorted runs are kept: a bucket whose member list
-// and keys are unchanged reuses its stored run verbatim, so a pass
-// re-sorts only the buckets attraction actually disturbed.
-type axisBuckets struct {
-	start, members, sorted []int32
-	keys                   []int64
-	cursor                 []int32
-
-	prevStart, prevMembers, prevSorted []int32
-	prevKeys                           []int64
-	valid                              bool
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+	static := func(x, y int64) int32 {
+		g.sx = append(g.sx, x)
+		g.sy = append(g.sy, y)
+		return ^int32(len(g.sx) - 1)
 	}
-	return s[:n]
-}
-
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-// axisBucketOf maps a clamped coordinate to its bucket. Equal keys always
-// land in the same bucket and the mapping is monotonic, so bucket ranges
-// never split a run of equal keys across a sort boundary.
-func axisBucketOf(k, span int64, nb int) int {
-	if k < 0 {
-		k = 0
-	} else if k > span {
-		k = span
-	}
-	return int(k * int64(nb) / (span + 1))
-}
-
-// rankOrder returns the movable cells as Instance.Seq values in ascending
-// (axis coordinate, nameRank) order, reusing ab's retained buckets.
-func (ws *globalWorkspace) rankOrder(ab *axisBuckets, cells []*netlist.Instance, span int64, axisX bool) []int32 {
-	n := len(cells)
-	nb := n/48 + 1
-	if nb > 256 {
-		nb = 256
-	}
-	ab.start = growI32(ab.start, nb+1)
-	ab.members = growI32(ab.members, n)
-	ab.sorted = growI32(ab.sorted, n)
-	ab.keys = growI64(ab.keys, n)
-	ab.cursor = growI32(ab.cursor, nb)
-	for i := range ab.start {
-		ab.start[i] = 0
-	}
-	key := ws.axisKey
-	for _, inst := range cells {
-		k := inst.Pos.X
-		if !axisX {
-			k = inst.Pos.Y
-		}
-		key[inst.Seq] = k
-		ab.start[axisBucketOf(k, span, nb)+1]++
-	}
-	for b := 1; b <= nb; b++ {
-		ab.start[b] += ab.start[b-1]
-	}
-	copy(ab.cursor, ab.start[:nb])
-	// Fill members in instance order within each bucket: the deterministic
-	// membership signature a clean-bucket check compares against.
-	for _, inst := range cells {
-		k := key[inst.Seq]
-		b := axisBucketOf(k, span, nb)
-		ab.members[ab.cursor[b]] = int32(inst.Seq)
-		ab.keys[ab.cursor[b]] = k
-		ab.cursor[b]++
-	}
-	rank := ws.nameRank
-	for b := 0; b < nb; b++ {
-		lo, hi := ab.start[b], ab.start[b+1]
-		seg := ab.sorted[lo:hi]
-		if ab.valid {
-			plo, phi := ab.prevStart[b], ab.prevStart[b+1]
-			if phi-plo == hi-lo &&
-				slices.Equal(ab.prevMembers[plo:phi], ab.members[lo:hi]) &&
-				slices.Equal(ab.prevKeys[plo:phi], ab.keys[lo:hi]) {
-				copy(seg, ab.prevSorted[plo:phi])
-				continue
-			}
-		}
-		copy(seg, ab.members[lo:hi])
-		slices.SortFunc(seg, func(a, c int32) int {
-			if key[a] != key[c] {
-				return cmp.Compare(key[a], key[c])
-			}
-			return cmp.Compare(rank[a], rank[c])
-		})
-	}
-	out := ab.sorted[:n]
-	// Retain this pass as the next pass's clean reference by swapping the
-	// generations; the returned slice stays untouched until the next call.
-	ab.start, ab.prevStart = ab.prevStart, ab.start
-	ab.members, ab.prevMembers = ab.prevMembers, ab.members
-	ab.keys, ab.prevKeys = ab.prevKeys, ab.keys
-	ab.sorted, ab.prevSorted = ab.prevSorted, ab.sorted
-	ab.valid = true
-	return out
-}
-
-// movableCells rebuilds the reusable movable-cell list in instance order
-// (the order every pass's sort starts from, so reuse is bit-invisible).
-func (ws *globalWorkspace) movableCells(nl *netlist.Netlist) []*netlist.Instance {
-	cells := ws.cells[:0]
-	for _, inst := range nl.Instances {
-		if !inst.Fixed {
-			cells = append(cells, inst)
+	add := func(ref netlist.PinRef) {
+		switch {
+		case ref.IsPort():
+			g.ep = append(g.ep, static(ref.Port.Pos.X, ref.Port.Pos.Y))
+		case ref.Inst.Fixed:
+			s := ref.Inst.Seq
+			g.ep = append(g.ep, static(g.x[s]+g.halfW[s], g.y[s]+g.halfH))
+		default:
+			g.ep = append(g.ep, int32(ref.Inst.Seq))
+			g.cnt[ref.Inst.Seq]++
 		}
 	}
-	ws.cells = cells
-	return cells
+	attracts := func(net *netlist.Net) bool { return !net.IsClock && net.Fanout() <= maxFanout }
+	nNets, nEP := 0, 0
+	for _, net := range nl.Nets {
+		if attracts(net) {
+			nNets++
+			nEP += 1 + len(net.Sinks)
+		}
+	}
+	g.start = append(make([]int32, 0, nNets+1), 0)
+	g.ep = make([]int32, 0, nEP)
+	maxDeg := 0
+	for _, net := range nl.Nets {
+		if !attracts(net) {
+			continue
+		}
+		if net.Driver != (netlist.PinRef{}) {
+			add(net.Driver)
+		}
+		for _, s := range net.Sinks {
+			add(s)
+		}
+		if deg := len(g.ep) - int(g.start[len(g.start)-1]); deg > 0 {
+			g.start = append(g.start, int32(len(g.ep)))
+			maxDeg = max(maxDeg, deg)
+		}
+	}
+	g.ex, g.ey = make([]int64, maxDeg), make([]int64, maxDeg)
+	for _, inst := range insts {
+		if !inst.Fixed && g.cnt[inst.Seq] > 0 {
+			g.pulled = append(g.pulled, int32(inst.Seq))
+		}
+	}
+
+	m := len(g.movable)
+	g.ord, g.ordTmp = make([]int32, m), make([]int32, m)
+	g.key, g.keyTmp = make([]uint64, m), make([]uint64, m)
+	return g
+}
+
+// store writes the working positions back to the movable instances.
+func (g *globalKernel) store(insts []*netlist.Instance) {
+	for _, s := range g.movable {
+		insts[s].Pos = geom.Pt(g.x[s], g.y[s])
+	}
 }
 
 // attract moves each movable instance toward the centroid of everything
-// it connects to.
-func (ws *globalWorkspace) attract(nl *netlist.Netlist, fp *floorplan.Plan, opt Options) {
-	for i := range ws.cnt {
-		ws.sumX[i] = 0
-		ws.sumY[i] = 0
-		ws.cnt[i] = 0
-	}
-	for _, n := range nl.Nets {
-		if n.IsClock || n.Fanout() > opt.MaxAttractFanout {
-			continue
-		}
-		pts := ws.pts[:0]
-		insts := ws.insts[:0]
-		if n.Driver != (netlist.PinRef{}) {
-			pts = append(pts, ws.endpoint(n.Driver, fp))
-			insts = append(insts, n.Driver.Inst)
-		}
-		for _, s := range n.Sinks {
-			pts = append(pts, ws.endpoint(s, fp))
-			insts = append(insts, s.Inst)
-		}
-		ws.pts, ws.insts = pts, insts
-		// Each endpoint is pulled toward the centroid of the others.
-		var cx, cy int64
-		for _, p := range pts {
-			cx += p.X
-			cy += p.Y
-		}
-		n64 := int64(len(pts))
-		for i, inst := range insts {
-			if inst == nil || inst.Fixed {
-				continue
+// it connects to: per net, each endpoint is pulled toward the centroid of
+// the others, and each instance then takes a damped step toward the mean
+// of its pulls.
+//
+// The centroid excluding self is (sum − own)/(deg − 1). When every
+// endpoint coordinate of the net lies in [0, 2^31) and both sums fit in
+// 32 unsigned bits, every dividend is a non-negative uint32, so the
+// 32-bit divide gives the int64 quotient exactly; otherwise the net takes
+// the int64 divide.
+func (g *globalKernel) attract() {
+	clear(g.sumX)
+	clear(g.sumY)
+	x, y, halfW, halfH := g.x, g.y, g.halfW, g.halfH
+	for k := 1; k < len(g.start); k++ {
+		eps := g.ep[g.start[k-1]:g.start[k]]
+		ex, ey := g.ex[:len(eps)], g.ey[:len(eps)]
+		var cx, cy, bits int64
+		for i, e := range eps {
+			var px, py int64
+			if e >= 0 {
+				px, py = x[e]+halfW[e], y[e]+halfH
+			} else {
+				px, py = g.sx[^e], g.sy[^e]
 			}
-			// Centroid excluding self.
-			ox := (cx - pts[i].X) / (n64 - 1 + boolTo64(n64 == 1))
-			oy := (cy - pts[i].Y) / (n64 - 1 + boolTo64(n64 == 1))
-			ws.sumX[inst.Seq] += ox
-			ws.sumY[inst.Seq] += oy
-			ws.cnt[inst.Seq]++
+			ex[i], ey[i] = px, py
+			cx += px
+			cy += py
+			bits |= px | py
 		}
-	}
-	for _, inst := range nl.Instances {
-		if inst.Fixed || ws.cnt[inst.Seq] == 0 {
+		d := int64(max(len(eps)-1, 1))
+		if uint64(bits) <= math.MaxInt32 && cx <= math.MaxUint32 && cy <= math.MaxUint32 {
+			d32, cx32, cy32 := uint32(d), uint32(cx), uint32(cy)
+			for i, e := range eps {
+				if e >= 0 {
+					g.sumX[e] += int64((cx32 - uint32(ex[i])) / d32)
+					g.sumY[e] += int64((cy32 - uint32(ey[i])) / d32)
+				}
+			}
 			continue
 		}
-		tx := ws.sumX[inst.Seq] / ws.cnt[inst.Seq]
-		ty := ws.sumY[inst.Seq] / ws.cnt[inst.Seq]
+		for i, e := range eps {
+			if e >= 0 {
+				g.sumX[e] += (cx - ex[i]) / d
+				g.sumY[e] += (cy - ey[i]) / d
+			}
+		}
+	}
+	lo, hi := g.core.Lo, g.core.Hi
+	for _, s := range g.pulled {
+		tx := g.sumX[s] / g.cnt[s]
+		ty := g.sumY[s] / g.cnt[s]
 		// Damped move.
-		inst.Pos = geom.Pt(
-			geom.Clamp64(inst.Pos.X+(tx-inst.Pos.X)*3/4, fp.Core.Lo.X, fp.Core.Hi.X),
-			geom.Clamp64(inst.Pos.Y+(ty-inst.Pos.Y)*3/4, fp.Core.Lo.Y, fp.Core.Hi.Y),
-		)
+		x[s] = geom.Clamp64(x[s]+(tx-x[s])*3/4, lo.X, hi.X)
+		y[s] = geom.Clamp64(y[s]+(ty-y[s])*3/4, lo.Y, hi.Y)
 	}
 }
 
-func boolTo64(b bool) int64 {
-	if b {
-		return 1
+// rankSpread redistributes cells uniformly along each axis by rank,
+// preserving relative order (Gordian-style linear scaling). It undoes the
+// central collapse of pure attraction while keeping neighborhoods intact.
+func (g *globalKernel) rankSpread() {
+	if len(g.movable) < 2 {
+		return
 	}
-	return 0
+	W, H := g.core.W(), g.core.H()
+	n := int64(len(g.movable) - 1)
+	for i, s := range g.rankOrder(g.x) {
+		v := int64(i) * W / n
+		// Blend: 60% rank position, 40% attracted position.
+		g.x[s] = (v*3 + g.x[s]*2) / 5
+	}
+	for i, s := range g.rankOrder(g.y) {
+		v := int64(i) * H / n
+		g.y[s] = (v*3 + g.y[s]*2) / 5
+	}
+}
+
+// rankOrder returns the movable Seqs in ascending (coord, Name) order. It
+// is an LSD radix sort on coord − min, radixBits per pass, starting from
+// the Name order: every pass is stable, so after the pass on the top digit
+// cells are ordered by coordinate, and equal coordinates keep Name order.
+// The number of passes follows the coordinate span, so any span sorts
+// exactly.
+func (g *globalKernel) rankOrder(coord []int64) []int32 {
+	lo, hi := coord[g.movable[0]], coord[g.movable[0]]
+	for _, s := range g.movable {
+		lo, hi = min(lo, coord[s]), max(hi, coord[s])
+	}
+	ord, key := g.ord, g.key
+	for i, s := range g.movable {
+		ord[i] = s
+		// Two's-complement wrap keeps the difference exact as a uint64.
+		key[i] = uint64(coord[s] - lo)
+	}
+	tmp, tmpKey := g.ordTmp, g.keyTmp
+	hist := &g.count
+	for shift, span := uint(0), uint64(hi-lo); span>>shift != 0; shift += radixBits {
+		clear(hist[:])
+		for _, k := range key {
+			hist[k>>shift&radixMask]++
+		}
+		var sum int32
+		for d, c := range hist {
+			hist[d] = sum
+			sum += c
+		}
+		for i, k := range key {
+			d := k >> shift & radixMask
+			tmp[hist[d]], tmpKey[hist[d]] = ord[i], k
+			hist[d]++
+		}
+		ord, tmp = tmp, ord
+		key, tmpKey = tmpKey, key
+	}
+	return ord
 }
 
 // spread relieves overfull density bins by pushing cells toward the least
-// loaded neighbor bin. The grid and its per-bin cell lists live in the
-// workspace: reset in place each call, never reallocated.
-func (ws *globalWorkspace) spread(nl *netlist.Netlist, fp *floorplan.Plan, opt Options) {
-	nb := opt.BinCount
-	if nb < 4 {
-		nb = 4
-	}
-	W, H := fp.Core.W(), fp.Core.H()
+// loaded neighbor bin. The bins are a CSR over the movable cells filled in
+// Name order, so an overfull bin pushes its overflow out in Name order.
+// Bin areas are the state before the pass: moves do not update them.
+func (g *globalKernel) spread(binCount int) {
+	nb := max(binCount, 4)
+	W, H := g.core.W(), g.core.H()
 	binW := (W + int64(nb) - 1) / int64(nb)
 	binH := (H + int64(nb) - 1) / int64(nb)
 	if binW == 0 || binH == 0 {
 		return
 	}
-	if cap(ws.bins) < nb*nb {
-		ws.bins = make([]densityBin, nb*nb)
+	area := make([]int64, nb*nb)
+	start := make([]int32, nb*nb+1)
+	binOf := make([]int32, len(g.movable))
+	for i, s := range g.movable {
+		bx := geom.Clamp64(g.x[s]/binW, 0, int64(nb-1))
+		by := geom.Clamp64(g.y[s]/binH, 0, int64(nb-1))
+		b := int(by)*nb + int(bx)
+		binOf[i] = int32(b)
+		area[b] += g.baseA[s]
+		start[b+1]++
 	}
-	bins := ws.bins[:nb*nb]
-	for i := range bins {
-		bins[i].area = 0
-		bins[i].cells = bins[i].cells[:0]
+	for b := 1; b <= nb*nb; b++ {
+		start[b] += start[b-1]
 	}
-	ws.bins = bins
-	idx := func(p geom.Point) int {
-		bx := int(geom.Clamp64(p.X/binW, 0, int64(nb-1)))
-		by := int(geom.Clamp64(p.Y/binH, 0, int64(nb-1)))
-		return by*nb + bx
-	}
-	for _, inst := range nl.Instances {
-		if inst.Fixed {
-			continue
-		}
-		i := idx(inst.Pos)
-		bins[i].area += ws.baseA[inst.Seq]
-		bins[i].cells = append(bins[i].cells, inst)
+	members := make([]int32, len(g.movable))
+	fill := slices.Clone(start[:nb*nb])
+	for i, s := range g.movable {
+		members[fill[binOf[i]]] = s
+		fill[binOf[i]]++
 	}
 	capArea := binW * binH // 100% local density budget
 	for by := 0; by < nb; by++ {
 		for bx := 0; bx < nb; bx++ {
-			b := &bins[by*nb+bx]
-			if b.area <= capArea {
+			b := by*nb + bx
+			over := area[b] - capArea
+			if over <= 0 {
 				continue
 			}
 			// Push the overflow (cells beyond capacity) to the least-dense
-			// of the 4 neighbors, deterministically. Ordering by the
-			// precomputed name rank is the Name order without the string
-			// compares.
-			rank := ws.nameRank
-			slices.SortFunc(b.cells, func(x, y *netlist.Instance) int {
-				return cmp.Compare(rank[x.Seq], rank[y.Seq])
-			})
-			over := b.area - capArea
-			for _, inst := range b.cells {
+			// of the 8 neighbors, deterministically.
+			tx, ty := bestNeighbor(area, nb, bx, by)
+			nx := geom.Clamp64(int64(tx)*binW+binW/2, 0, W)
+			ny := geom.Clamp64(int64(ty)*binH+binH/2, 0, H)
+			for _, s := range members[start[b]:start[b+1]] {
 				if over <= 0 {
 					break
 				}
-				tx, ty := bestNeighbor(bins, nb, bx, by)
-				nx := geom.Clamp64(int64(tx)*binW+binW/2, 0, W)
-				ny := geom.Clamp64(int64(ty)*binH+binH/2, 0, H)
-				inst.Pos = geom.Pt((inst.Pos.X+nx)/2, (inst.Pos.Y+ny)/2)
-				over -= ws.baseA[inst.Seq]
+				g.x[s] = (g.x[s] + nx) / 2
+				g.y[s] = (g.y[s] + ny) / 2
+				over -= g.baseA[s]
 			}
 		}
 	}
 }
 
-type densityBin struct {
-	area  int64
-	cells []*netlist.Instance
-}
-
-func bestNeighbor(bins []densityBin, nb, bx, by int) (int, int) {
+func bestNeighbor(area []int64, nb, bx, by int) (int, int) {
 	bestA := int64(1) << 62
 	tx, ty := bx, by
 	for _, d := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {-1, -1}, {1, -1}, {-1, 1}} {
@@ -550,7 +494,7 @@ func bestNeighbor(bins []densityBin, nb, bx, by int) (int, int) {
 		if x < 0 || y < 0 || x >= nb || y >= nb {
 			continue
 		}
-		if a := bins[y*nb+x].area; a < bestA {
+		if a := area[y*nb+x]; a < bestA {
 			bestA = a
 			tx, ty = x, y
 		}

@@ -30,16 +30,16 @@ type CoreInfo struct {
 }
 
 // regBits returns the register-address width for the configured count.
-func (c Config) regBits() int {
+func (c Config) regBits() (int, error) {
 	switch c.Registers {
 	case 32:
-		return 5
+		return 5, nil
 	case 16:
-		return 4
+		return 4, nil
 	case 8:
-		return 3
+		return 3, nil
 	default:
-		panic(fmt.Sprintf("riscv: unsupported register count %d", c.Registers))
+		return 0, fmt.Errorf("riscv: unsupported register count %d (want 8, 16 or 32)", c.Registers)
 	}
 }
 
@@ -54,6 +54,10 @@ func (c Config) regBits() int {
 // The core is a single-cycle microarchitecture: fetch, decode, execute,
 // memory and writeback settle combinationally within one clock.
 func Generate(lib *cell.Library, cfg Config) (*netlist.Netlist, *CoreInfo, error) {
+	regBits, err := cfg.regBits()
+	if err != nil {
+		return nil, nil, err
+	}
 	if cfg.Name == "" {
 		cfg.Name = "rv32_core"
 	}
@@ -111,10 +115,10 @@ func Generate(lib *cell.Library, cfg Config) (*netlist.Netlist, *CoreInfo, error
 
 	// --- Decode ----------------------------------------------------------
 	opcode := instr[0:7]
-	rdA := instr[7 : 7+cfg.regBits()]
+	rdA := instr[7 : 7+regBits]
 	funct3 := instr[12:15]
-	rs1A := instr[15 : 15+cfg.regBits()]
-	rs2A := instr[20 : 20+cfg.regBits()]
+	rs1A := instr[15 : 15+regBits]
+	rs2A := instr[20 : 20+regBits]
 	f7b5 := instr[30]
 
 	isLUI := b.Eq(opcode, 0x37)

@@ -271,3 +271,22 @@ func TestMemoryModel(t *testing.T) {
 		t.Error("diverged memories reported equal")
 	}
 }
+
+// TestGenerateRejectsUnsupportedRegisters pins that a register count the
+// decoder has no address width for is an error, not a panic: the CLIs
+// pass -regs straight through.
+func TestGenerateRejectsUnsupportedRegisters(t *testing.T) {
+	for _, regs := range []int{3, 0, -8, 64} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Generate(Registers: %d) panicked: %v", regs, r)
+				}
+			}()
+			nl, info, err := Generate(testLib, Config{Name: "bad", Registers: regs})
+			if err == nil || nl != nil || info != nil {
+				t.Errorf("Generate(Registers: %d) = %v, %v, %v; want nil, nil, error", regs, nl, info, err)
+			}
+		}()
+	}
+}

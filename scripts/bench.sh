@@ -32,12 +32,12 @@ echo "== tier-1: go build && go test =="
 go build ./...
 go test ./...
 
-echo "== benchmarks (Flow|STAReuse|BuildDEF|BuildTree|SweepShared|SweepIncremental|SweepFreq|VariationMC|ServeSweep, -benchtime=${BENCHTIME}) =="
+echo "== benchmarks (Flow|STAReuse|BuildDEF|BuildTree|SweepShared|SweepIncremental|SweepFreq|VariationMC|ServeSweep|PlaceGlobal, -benchtime=${BENCHTIME}) =="
 # Fail fast: a failing bench run (build error, panicking benchmark) must
 # exit non-zero without leaving a partial BENCH_<date>.json behind, so
 # the snapshot is written to a temp file and only moved into place after
 # the run succeeded and at least one benchmark row parsed.
-if ! BENCH_OUT="$(go test -run=NONE -bench='Flow|STAReuse|BuildDEF|BuildTree|SweepShared|SweepIncremental|SweepFreq|VariationMC|ServeSweep' -benchmem -benchtime="${BENCHTIME}" . ./internal/core ./internal/route ./internal/serve 2>&1)"; then
+if ! BENCH_OUT="$(go test -run=NONE -bench='Flow|STAReuse|BuildDEF|BuildTree|SweepShared|SweepIncremental|SweepFreq|VariationMC|ServeSweep|PlaceGlobal' -benchmem -benchtime="${BENCHTIME}" . ./internal/core ./internal/place ./internal/route ./internal/serve 2>&1)"; then
   echo "${BENCH_OUT}"
   echo "bench run failed; no snapshot written" >&2
   exit 1
