@@ -58,7 +58,7 @@ func globalMatchesReference(t *testing.T, name string, nl *netlist.Netlist, fp *
 // pointer-chasing, comparator-sorted placer it replaced (reference_test.go):
 // every position must be bit-identical across designs, architectures,
 // seeds, utilizations, attraction fanout cutoffs, fixed instances, and
-// cores whose coordinates leave the 32-bit range or go negative.
+// cores wider than 2^31 nm or with negative coordinates.
 func TestGlobalMatchesReference(t *testing.T) {
 	cfetLib := cell.NewLibrary(tech.NewCFET())
 	type design struct {
@@ -118,8 +118,8 @@ func TestGlobalMatchesReference(t *testing.T) {
 	}
 	globalMatchesReference(t, "fixed", withFixed(fp.Core), fp, DefaultOptions())
 
-	// Hand-built cores: one spanning more than 2^31 nm on both axes (int64
-	// divides, three radix passes), one whose lower-left corner is negative
+	// Hand-built cores: one spanning more than 2^31 nm on both axes (three
+	// radix passes), one whose lower-left corner is negative
 	// (negative coordinates once fixed instances sit there).
 	for _, core := range []geom.Rect{
 		geom.R(0, 0, 3<<30, 5<<29),
@@ -132,7 +132,7 @@ func TestGlobalMatchesReference(t *testing.T) {
 }
 
 // TestGlobalAllocsIndependentOfIters pins that the global placer sizes
-// every buffer once per call: no refinement pass allocates.
+// its buffers once per call: no attract or rankSpread pass allocates.
 func TestGlobalAllocsIndependentOfIters(t *testing.T) {
 	nl := smallDesign(t)
 	fp, err := floorplan.New(lib.Stack, nl.CellAreaNm2(), 0.7, 1.0)

@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -169,8 +168,9 @@ const (
 )
 
 // globalKernel is the state of one Global call over flat arrays indexed
-// by Instance.Seq. Everything is sized at construction, so no pass
-// allocates.
+// by Instance.Seq. The attract and rankSpread passes only use buffers
+// sized at construction, so they allocate nothing; the one spread pass
+// per call builds its bin CSR.
 //
 // The model is integer arithmetic throughout, and integer sums do not
 // depend on the order of their terms: flat loops over the same endpoints
@@ -314,13 +314,7 @@ func (g *globalKernel) store(insts []*netlist.Instance) {
 // attract moves each movable instance toward the centroid of everything
 // it connects to: per net, each endpoint is pulled toward the centroid of
 // the others, and each instance then takes a damped step toward the mean
-// of its pulls.
-//
-// The centroid excluding self is (sum − own)/(deg − 1). When every
-// endpoint coordinate of the net lies in [0, 2^31) and both sums fit in
-// 32 unsigned bits, every dividend is a non-negative uint32, so the
-// 32-bit divide gives the int64 quotient exactly; otherwise the net takes
-// the int64 divide.
+// of its pulls. The centroid excluding self is (sum − own)/(deg − 1).
 func (g *globalKernel) attract() {
 	clear(g.sumX)
 	clear(g.sumY)
@@ -328,7 +322,7 @@ func (g *globalKernel) attract() {
 	for k := 1; k < len(g.start); k++ {
 		eps := g.ep[g.start[k-1]:g.start[k]]
 		ex, ey := g.ex[:len(eps)], g.ey[:len(eps)]
-		var cx, cy, bits int64
+		var cx, cy int64
 		for i, e := range eps {
 			var px, py int64
 			if e >= 0 {
@@ -339,19 +333,8 @@ func (g *globalKernel) attract() {
 			ex[i], ey[i] = px, py
 			cx += px
 			cy += py
-			bits |= px | py
 		}
 		d := int64(max(len(eps)-1, 1))
-		if uint64(bits) <= math.MaxInt32 && cx <= math.MaxUint32 && cy <= math.MaxUint32 {
-			d32, cx32, cy32 := uint32(d), uint32(cx), uint32(cy)
-			for i, e := range eps {
-				if e >= 0 {
-					g.sumX[e] += int64((cx32 - uint32(ex[i])) / d32)
-					g.sumY[e] += int64((cy32 - uint32(ey[i])) / d32)
-				}
-			}
-			continue
-		}
 		for i, e := range eps {
 			if e >= 0 {
 				g.sumX[e] += (cx - ex[i]) / d
