@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime/metrics"
 	"slices"
 	"sync"
 	"testing"
@@ -208,77 +209,13 @@ func BenchmarkSweepShared(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepIncrementalSTA measures the incremental re-timing path on
-// the same back-pin DoE BenchmarkSweepShared runs: "incremental" runs the
-// first point through the whole pipeline once and forks every other point
-// off that completed session, so each sibling inherits the leader's
-// post-STA engine + RC baseline and re-propagates only the timing cones
-// its partition delta dirtied; "fullSTA" forks the same points off a
-// parent stopped at StageCTS (PR 4's BenchmarkSweepShared/forked shape),
-// so every point rebuilds an engine and re-times the whole design.
-// Results are bit-identical between the two; the incremental sweep must
-// show fewer allocs/op and less wall-clock per sweep.
-func BenchmarkSweepIncrementalSTA(b *testing.B) {
-	s := getSuite(b)
-	nl, _, err := riscv.Generate(s.FFET, riscv.Config{Name: "rv32inc", Registers: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bps := []float64{0.5, 0.4, 0.3, 0.16, 0.04}
-	base := core.DefaultFlowConfig(tech.Pattern{Front: 12, Back: 12}, 1.5, 0.70)
-	base.BackPinFraction = bps[0]
-
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			leader, err := core.NewFlow(nl, base)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := leader.Run(); err != nil {
-				b.Fatal(err)
-			}
-			for _, bp := range bps[1:] {
-				g, err := leader.Fork(func(c *core.FlowConfig) { c.BackPinFraction = bp })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := g.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("fullSTA", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f, err := core.NewFlow(nl, base)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := f.RunTo(core.StageCTS); err != nil {
-				b.Fatal(err)
-			}
-			for _, bp := range bps {
-				g, err := f.Fork(func(c *core.FlowConfig) { c.BackPinFraction = bp })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := g.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkSweepFreqIncremental measures the frequency-axis diff-chain
 // path on a dense 5-point target sweep (the Fig. 9 power/frequency axis
 // sampled finely around one operating point): "diffchain" runs the first
 // point through the whole pipeline once and walks to each neighboring
 // target via core.Flow.ForkSynthDiff — the hop re-synthesizes at its own
 // target (the unavoidable cost), then re-stamps the neighbor's placement
-// and adopts its partition/route/DEF/STA state wherever the netlist diff
+// and adopts its partition/route/DEF state wherever the netlist diff
 // gates hold; "forkAtSynth" forks every later point off the first
 // completed session at StageSynth, re-running the entire back end per
 // point (the pre-diff sweep shape). Results are bit-identical between
@@ -402,12 +339,20 @@ func BenchmarkSweepIncrementalPlace(b *testing.B) {
 // BenchmarkFlowSingleRun measures one complete physical implementation +
 // PPA flow on the quick-scale core (the unit of work behind every figure).
 // Each iteration varies the seed so memoization never short-circuits it.
-// The place_ms/op metric is the median StagePlace time over the
-// iterations: global placement, plus the legalization and refinement
-// bases the suite's staged sessions build at that checkpoint.
+// Every stage reports its median time over the iterations as
+// <stage>_ms/op (place_ms/op includes the legalization and refinement
+// bases the suite's staged sessions build at that checkpoint), and
+// gc_cpu_frac is the share of the process's CPU time the garbage
+// collector took during the loop (runtime/metrics estimates).
 func BenchmarkFlowSingleRun(b *testing.B) {
 	s := getSuite(b)
-	place := make([]time.Duration, 0, b.N)
+	var stageTimes [core.NumStages][]time.Duration
+	cpu := []metrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+	}
+	metrics.Read(cpu)
+	gc0, total0 := cpu[0].Value.Float64(), cpu[1].Value.Float64()
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultFlowConfig(tech.Pattern{Front: 6, Back: 6}, 1.5, 0.72)
 		cfg.BackPinFraction = 0.5
@@ -420,10 +365,18 @@ func BenchmarkFlowSingleRun(b *testing.B) {
 			fmt.Printf("single flow: %.3f GHz, %.1f uW, %.1f um2, valid=%v\n",
 				res.AchievedFreqGHz, res.PowerUW, res.CoreAreaUm2, res.Valid)
 		}
-		place = append(place, res.StageTimes[core.StagePlace])
+		for st, d := range res.StageTimes {
+			stageTimes[st] = append(stageTimes[st], d)
+		}
 	}
-	slices.Sort(place)
-	b.ReportMetric(float64(place[len(place)/2])/float64(time.Millisecond), "place_ms/op")
+	metrics.Read(cpu)
+	for st, ds := range stageTimes {
+		slices.Sort(ds)
+		b.ReportMetric(float64(ds[len(ds)/2])/float64(time.Millisecond), core.Stage(st).String()+"_ms/op")
+	}
+	if total := cpu[1].Value.Float64() - total0; total > 0 {
+		b.ReportMetric((cpu[0].Value.Float64()-gc0)/total, "gc_cpu_frac")
+	}
 }
 
 // BenchmarkVariationMC measures the Monte Carlo overlay-variation STA

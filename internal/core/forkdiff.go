@@ -11,12 +11,11 @@
 // legalization/refinement bases (with resized cells re-probed as moved),
 // the partition's dense sink tables (changed nets recomputed), the routed
 // trees (adopted whole when every pin gcell and the negotiation order are
-// provably unchanged), the DEF nets sections, and the timing engine
-// (re-stamped over the child's instances, re-propagating only dirtied
-// cones). Every gate failure falls back to the normal stage body, so a
-// diff fork is bit-identical to a from-scratch fork by construction —
-// core.TestSynthDiffForkMatchesScratch holds both paths to the same
-// artifacts byte for byte.
+// provably unchanged) and the DEF nets sections. Extraction and timing
+// always run in full on the child. Every gate failure falls back to the
+// normal stage body, so a diff fork is bit-identical to a from-scratch
+// fork by construction — core.TestSynthDiffForkMatchesScratch holds both
+// paths to the same artifacts byte for byte.
 package core
 
 import (
@@ -32,7 +31,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/route"
-	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/tech"
 )
@@ -63,15 +61,13 @@ type SynthDiffStats struct {
 	RouteAdoptedFront bool
 	RouteAdoptedBack  bool
 	DEFNetsShared     int // sides whose DEF nets section was shared
-	STARestamped      bool
 }
 
 // synthDiffState carries the parent artifacts the patched stage bodies
 // consult. It is installed on the child by ForkSynthDiff and cleared at
-// the end of StageSTA, so a long diff chain does not retain every
+// the end of StageDEF, so a long diff chain does not retain every
 // ancestor's netlist and routing state.
 type synthDiffState struct {
-	resized     []int32 // resized instance Seqs (valid in both netlists)
 	changedNets []int32 // net Seqs with a resized endpoint
 
 	parentWork *netlist.Netlist // parent's final (post-CTS) netlist
@@ -81,7 +77,6 @@ type synthDiffState struct {
 	backRes    *route.Result
 	frontDEF   *def.Design
 	backDEF    *def.Design
-	eng        *sta.Engine // parent's engine; re-stamped at StageSTA
 
 	stats *SynthDiffStats
 }
@@ -97,7 +92,7 @@ func (f *Flow) ForkSynthDiff(mutate func(*FlowConfig)) (*Flow, *SynthDiffStats, 
 // floorplan and powerplan, and — when the child's netlist is a bounded
 // pure resize of the parent's and the floorplans coincide — re-stamps the
 // parent's placement instead of re-placing, leaving the child positioned
-// at StageCTS with the parent's partition/routing/DEF/STA state staged
+// at StageCTS with the parent's partition/routing/DEF state staged
 // for adoption. Callers then Run the child normally.
 //
 // The returned stats say which path was taken. On any gate failure the
@@ -123,8 +118,7 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 	ready := f.err == nil && !f.running && !f.halted && f.res.Reason == "" &&
 		int(f.next) == NumStages && !f.noIncPlace &&
 		f.synthSnap != nil && f.placeSnap != nil &&
-		f.placeBasis != nil && f.refineBasis != nil &&
-		f.staEng != nil && f.baseRC != nil
+		f.placeBasis != nil && f.refineBasis != nil
 	f.mu.Unlock()
 	if !ready {
 		return fallback("parent is not a completed valid incremental checkpoint")
@@ -185,9 +179,7 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 	child.refineBasis = f.refineBasis
 	child.res.StageTimes[StagePlace] = time.Since(t0)
 
-	child.baseRC = f.baseRC
 	child.diff = &synthDiffState{
-		resized:     d.Resized,
 		changedNets: d.ChangedNets,
 		parentWork:  f.work,
 		pa:          f.pa,
@@ -196,7 +188,6 @@ func (f *Flow) ForkSynthDiffCtx(ctx context.Context, mutate func(*FlowConfig)) (
 		backRes:     f.backRes,
 		frontDEF:    f.res.FrontDEF,
 		backDEF:     f.res.BackDEF,
-		eng:         f.staEng,
 		stats:       st,
 	}
 	child.mu.Lock()

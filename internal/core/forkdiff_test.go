@@ -50,7 +50,7 @@ func diffVsScratch(t *testing.T, parent *Flow, mutate func(*FlowConfig)) (*Flow,
 		t.Fatalf("Fork: %v", err)
 	}
 	// The scratch arm re-runs the full pipeline from StageSynth with no
-	// inherited placement/partition/route/STA state.
+	// inherited placement/partition/route state.
 	scratch.SetIncrementalPlacement(false)
 	dres, err := diffChild.Run()
 	if err != nil {
@@ -84,7 +84,7 @@ func TestSynthDiffForkMatchesScratch(t *testing.T) {
 			t.Errorf("want resize-free diff path, got %+v", st)
 		}
 		if !st.PartitionPatched || !st.RouteAdoptedFront || !st.RouteAdoptedBack ||
-			st.DEFNetsShared != 2 || !st.STARestamped {
+			st.DEFNetsShared != 2 {
 			t.Errorf("resize-free diff should adopt everything: %+v", st)
 		}
 	})
@@ -97,8 +97,8 @@ func TestSynthDiffForkMatchesScratch(t *testing.T) {
 				t.Errorf("tgt %v: expected diff path, fell back: %q", tgt, st.Fallback)
 				continue
 			}
-			if st.Resized == 0 || !st.PartitionPatched || !st.STARestamped {
-				t.Errorf("tgt %v: expected resized diff with patched partition + restamped STA: %+v", tgt, st)
+			if st.Resized == 0 || !st.PartitionPatched {
+				t.Errorf("tgt %v: expected resized diff with patched partition: %+v", tgt, st)
 			}
 			chained = child
 		}
@@ -187,11 +187,6 @@ func TestSynthDiffForkFaultFallback(t *testing.T) {
 		{"core.route.adopt", func(t *testing.T, st *SynthDiffStats) {
 			if !st.DiffPath || st.RouteAdoptedFront || st.RouteAdoptedBack || st.DEFNetsShared != 0 {
 				t.Errorf("route fault must re-route both sides: %+v", st)
-			}
-		}},
-		{"core.sta.restamp", func(t *testing.T, st *SynthDiffStats) {
-			if !st.DiffPath || st.STARestamped {
-				t.Errorf("restamp fault must rebuild the engine: %+v", st)
 			}
 		}},
 	}

@@ -192,25 +192,12 @@ type Flow struct {
 	backRes   *route.Result
 	netRC     []*extract.NetRC
 
-	// Incremental STA state. staEng is the session's timing engine,
-	// persisted as part of the StageSTA checkpoint: once this session's
-	// STA has run, forked children that resume at StagePartition or later
-	// (the netlist is shared read-only from there on, so the engine's
-	// graph tables stay valid) inherit a Fork of it plus the RC database
-	// it was timed against, and re-propagate only the cones their config
-	// delta actually dirtied. Each child gets its own clone of the
-	// engine's mutable arrival state, so concurrent forked children never
-	// share engine scratch.
+	// staEng is the session's timing engine, persisted as part of the
+	// StageSTA checkpoint: it holds the propagation state of this
+	// session's one full analysis over netRC, which VariationBasis hands
+	// to Monte Carlo studies (they Fork it per worker). A child resuming
+	// past StageSTA shares it read-only; every other child times itself.
 	staEng *sta.Engine
-	// baseRC is the extraction database staEng's retained state was
-	// computed under (the parent's post-STA view for a forked child; this
-	// session's own view once its STA has run).
-	baseRC []*extract.NetRC
-	// dirtyRC lists the net Seqs whose re-extracted view differs from
-	// baseRC; valid only when haveDirty is set (an empty dirty set is
-	// meaningful — it means no cone needs re-timing at all).
-	dirtyRC   []int32
-	haveDirty bool
 
 	// Incremental placement state, persisted as part of the StagePlace
 	// checkpoint. placeBasis retains the legalizer's per-row
@@ -221,8 +208,7 @@ type Flow struct {
 	// (place.LegalizeDelta) and re-collects refinement refs only for
 	// clock-cone endpoints, instead of replaying full legalization + 3
 	// Refine collections from the snapshot. Full Legalize/RefineCtx stay
-	// the fallback on basis mismatch, mirroring the incremental-STA
-	// contract above.
+	// the fallback on basis mismatch.
 	placeBasis  *place.LegalBasis
 	refineBasis *place.RefineBasis
 	// noIncPlace disables the retained-placement fast path (scratch
@@ -235,7 +221,7 @@ type Flow struct {
 
 	// diff carries the parent artifacts a synth-diff fork stages for
 	// adoption (see ForkSynthDiff); nil on every other session. Cleared at
-	// the end of StageSTA so diff chains do not retain their ancestors.
+	// the end of StageDEF so diff chains do not retain their ancestors.
 	diff *synthDiffState
 }
 
@@ -339,14 +325,14 @@ func (f *Flow) RouteResult(side tech.Side) *route.Result {
 // study forks it per worker — extraction is never re-run), the RC view
 // its state was computed under, the analysis conditions, the target
 // period, and the per-net per-side routed lengths that weight the two
-// overlay axes. The session must have completed StageSTA on a valid run;
-// the basis borrows session state, so the session must not be re-run or
-// forked-and-analyzed while a sampler is being built from it.
+// overlay axes. The session must have completed StageSTA on a valid run.
+// The basis borrows session state read-only: nothing re-times the engine
+// after the session's own StageSTA, so studies and forks may share it.
 func (f *Flow) VariationBasis() (*variation.Basis, error) {
 	if !f.Done(StageSTA) || f.Halted() {
 		return nil, fmt.Errorf("core: variation basis needs a valid session past StageSTA")
 	}
-	if f.staEng == nil || f.baseRC == nil {
+	if f.staEng == nil || f.netRC == nil {
 		return nil, fmt.Errorf("core: session has no retained timing basis")
 	}
 	staOpt := f.cfg.STA
@@ -365,7 +351,7 @@ func (f *Flow) VariationBasis() (*variation.Basis, error) {
 	}
 	return &variation.Basis{
 		Engine:         f.staEng,
-		NetRC:          f.baseRC,
+		NetRC:          f.netRC,
 		ClockArrivalPs: f.ctsRes.ArrivalPs,
 		STAOpt:         staOpt,
 		PeriodPs:       1000.0 / f.cfg.TargetFreqGHz,
@@ -659,33 +645,12 @@ func (f *Flow) Fork(mutate func(*FlowConfig)) (*Flow, error) {
 	if resume > StageExtract {
 		child.netRC = f.netRC
 	}
-	// Incremental STA basis: once this session holds a timed state
-	// (its own StageSTA ran, or it inherited a basis it hasn't re-timed
-	// yet), a child resuming at StagePartition or later shares the same
-	// netlist, so the engine's graph tables are valid for it — hand it a
-	// clone of the propagation state plus the RC view that state was
-	// computed under. That view is baseRC, not netRC: a session forked
-	// between StageExtract and StageSTA has re-extracted (netRC is new)
-	// without re-timing, and diffing against the newer view would let
-	// stale cones survive. The child's StageExtract diffs its
-	// re-extracted view against baseRC and StageSTA re-times only the
-	// dirty cones. (Children resuming earlier get a netlist snapshot of
-	// their own; the engine is bound to the parent's instances and must
-	// not carry over.)
-	if resume >= StagePartition && f.staEng != nil && f.baseRC != nil {
-		// Only a child that will actually re-time (it resumes at or
-		// before StageSTA and isn't halted) mutates its engine, so only
-		// it pays for a clone of the propagation state. Every other
-		// child shares the parent's engine read-only: its own StageSTA
-		// never runs (an engine is mutated solely by its owning
-		// session's StageSTA, which executes at most once), and it only
-		// passes the state on to its own forks.
-		if resume <= StageSTA && !child.halted {
-			child.staEng = f.staEng.Fork()
-		} else {
-			child.staEng = f.staEng
-		}
-		child.baseRC = f.baseRC
+	// Timing: every child that runs StageSTA builds its own engine and
+	// times itself in full. A child resuming past StageSTA never re-times,
+	// so it shares the parent's engine read-only (its netlist and netRC
+	// are the parent's too) and VariationBasis keeps working on it.
+	if resume > StageSTA {
+		child.staEng = f.staEng
 	}
 	f.mu.Unlock()
 
@@ -1068,6 +1033,9 @@ func (f *Flow) stageDEF() error {
 			d.stats.DEFNetsShared++
 		}
 	}
+	// The diff state has served every adopting stage; drop it so a chain
+	// of diff forks does not retain each ancestor's netlist and routing.
+	f.diff = nil
 	f.res.FrontDEF = buildDEF(f.work, f.fp, f.pp, f.frontRes, tech.Front, f.cfg, adoptFront)
 	f.res.BackDEF = buildDEF(f.work, f.fp, f.pp, f.backRes, tech.Back, f.cfg, adoptBack)
 	merged, err := def.Merge(f.work.Name, f.res.FrontDEF, f.res.BackDEF)
@@ -1114,61 +1082,19 @@ func (f *Flow) stageExtract() error {
 		netRC[n.Seq] = &rcStore[n.Seq]
 	}
 	f.netRC = netRC
-	// Report the changed-net set against the inherited timing basis:
-	// nets whose re-extracted view is bit-identical to the parent's are
-	// clean and their cones keep the parent's arrivals; everything else
-	// is dirty and gets re-propagated at StageSTA.
-	if f.baseRC != nil {
-		f.dirtyRC = extract.DiffRC(f.dirtyRC[:0], f.baseRC, netRC)
-		if d := f.diff; d != nil && len(d.changedNets) > 0 {
-			// A resized driver can leave its output net's RC bit-identical
-			// while its own delay arcs changed; seed the dirty set with the
-			// diff's changed nets so Reanalyze re-evaluates those cones too.
-			seen := make([]bool, len(work.Nets))
-			for _, s := range f.dirtyRC {
-				seen[s] = true
-			}
-			for _, s := range d.changedNets {
-				if int(s) < len(seen) && !seen[s] {
-					f.dirtyRC = append(f.dirtyRC, s)
-				}
-			}
-		}
-		f.haveDirty = true
-	}
 	return nil
 }
 
-// stageSTA analyzes timing over the extracted RC database. A session that
-// inherited a timing basis from its fork parent re-propagates only the
-// cones of nets whose RC changed (sta.Engine.Reanalyze); everything else
-// — including a session whose basis didn't survive the fork, or whose STA
-// options diverged — runs the full propagation. Both paths produce
-// bit-identical results; the incremental one just skips work.
+// stageSTA analyzes timing over the extracted RC database with one full
+// propagation on the session's own engine.
 func (f *Flow) stageSTA() error {
 	staOpt := f.cfg.STA
 	if staOpt.InputSlewPs == 0 {
 		staOpt = sta.DefaultOptions()
 	}
-	eng := f.staEng
-	if eng == nil && f.diff != nil && f.diff.eng != nil {
-		// Synth-diff fork: re-stamp the parent's engine over the child's
-		// netlist (same graph shape by SeqStable; resized instances get
-		// fresh arc rows) so the parent's arrival state seeds Reanalyze.
-		// Any restamp failure just builds a fresh engine, whose analysis
-		// runs the full propagation — bit-identical either way.
-		if faultinject.Fire("core.sta.restamp") == nil {
-			if e2, err := f.diff.eng.ForkRestamped(f.work, f.diff.resized); err == nil {
-				eng = e2
-				f.diff.stats.STARestamped = true
-			}
-		}
-	}
-	if eng == nil {
-		var err error
-		if eng, err = sta.NewEngine(f.work); err != nil {
-			return err
-		}
+	eng, err := sta.NewEngine(f.work)
+	if err != nil {
+		return err
 	}
 	in := sta.Input{
 		NetRC:          f.netRC,
@@ -1178,26 +1104,15 @@ func (f *Flow) stageSTA() error {
 	// by exp.Suite, so the stored Result must not alias the Engine's
 	// reusable storage.
 	staRes := &sta.Result{}
-	ctx := f.stageCtx()
-	var err error
-	if f.haveDirty {
-		err = eng.ReanalyzeIntoCtx(ctx, staRes, in, staOpt, f.dirtyRC)
-	} else {
-		err = eng.AnalyzeIntoCtx(ctx, staRes, in, staOpt)
-	}
-	if err != nil {
+	if err := eng.AnalyzeIntoCtx(f.stageCtx(), staRes, in, staOpt); err != nil {
 		return err
 	}
 	// The engine now holds this session's post-STA state over f.netRC:
-	// persist both as the StageSTA checkpoint future forks seed from.
+	// persist it as the StageSTA checkpoint VariationBasis hands out.
 	f.staEng = eng
-	f.baseRC = f.netRC
 	f.res.STA = staRes
 	f.res.MinPeriodPs = staRes.MinPeriodPs
 	f.res.AchievedFreqGHz = staRes.AchievedFreqGHz
-	// The diff state has served every adopting stage; drop it so a chain
-	// of diff forks does not retain each ancestor's netlist and routing.
-	f.diff = nil
 	return nil
 }
 

@@ -72,7 +72,12 @@ func (d *Design) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Parse reads the DEF subset produced by Write.
+// Parse reads the DEF subset produced by Write. The grammar is Write's
+// own: a DESIGN statement, every section closed by END <section>, the
+// file closed by END DESIGN, and every name a real token. Anything else
+// — input cut off mid-section, a record with a missing name, a pin
+// without its NET/DIRECTION/LAYER/PLACED attributes — is an error rather
+// than a design that Write would render differently.
 func Parse(r io.Reader) (*Design, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 256*1024*1024)
@@ -95,13 +100,23 @@ func line(s string) string {
 	return s
 }
 
+// parser walks the token stream with a sticky error: after the first
+// failure every read yields "" (end of input), so the record loops stop
+// and the error surfaces once, from parse.
 type parser struct {
 	toks []string
 	pos  int
+	err  error
+}
+
+func (p *parser) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf("def: "+format, args...)
+	}
 }
 
 func (p *parser) peek() string {
-	if p.pos >= len(p.toks) {
+	if p.err != nil || p.pos >= len(p.toks) {
 		return ""
 	}
 	return p.toks[p.pos]
@@ -109,294 +124,219 @@ func (p *parser) peek() string {
 
 func (p *parser) next() string { t := p.peek(); p.pos++; return t }
 
-func (p *parser) expect(t string) error {
+func (p *parser) expect(t string) {
 	if got := p.next(); got != t {
-		return fmt.Errorf("def: expected %q got %q at token %d", t, got, p.pos-1)
+		p.fail("expected %q got %q at token %d", t, got, p.pos-1)
 	}
-	return nil
 }
 
-func (p *parser) int() (int64, error) {
+// ident consumes a name: any token but the end of input and the
+// punctuation the grammar is positioned by.
+func (p *parser) ident(what string) string {
+	switch t := p.next(); t {
+	case "", ";", "(", ")", "-", "+":
+		p.fail("expected %s got %q at token %d", what, t, p.pos-1)
+		return ""
+	default:
+		return t
+	}
+}
+
+func (p *parser) int() int64 {
 	t := p.next()
 	v, err := strconv.ParseInt(t, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("def: bad integer %q at token %d", t, p.pos-1)
+		p.fail("bad integer %q at token %d", t, p.pos-1)
 	}
-	return v, nil
+	return v
 }
 
-func (p *parser) point() (geom.Point, error) {
-	if err := p.expect("("); err != nil {
-		return geom.Point{}, err
-	}
-	x, err := p.int()
-	if err != nil {
-		return geom.Point{}, err
-	}
-	y, err := p.int()
-	if err != nil {
-		return geom.Point{}, err
-	}
-	if err := p.expect(")"); err != nil {
-		return geom.Point{}, err
-	}
-	return geom.Pt(x, y), nil
+// coords reads an unparenthesized "x y" pair.
+func (p *parser) coords() geom.Point {
+	x := p.int()
+	return geom.Pt(x, p.int())
 }
 
-func (p *parser) skipToSemi() {
-	for p.peek() != ";" && p.peek() != "" {
+func (p *parser) point() geom.Point {
+	p.expect("(")
+	pt := p.coords()
+	p.expect(")")
+	return pt
+}
+
+// attr reads "+ <key> <value>".
+func (p *parser) attr(key string) string {
+	p.expect("+")
+	p.expect(key)
+	return p.ident(strings.ToLower(key))
+}
+
+// section runs record for every "- ..." record of a section, after its
+// name: "<count> ; ... END <name>". The count is not trusted: the records
+// are what the section holds.
+func (p *parser) section(name string, record func()) {
+	p.int()
+	p.expect(";")
+	for p.peek() == "-" {
 		p.next()
+		record()
 	}
-	p.next()
+	p.expect("END")
+	p.expect(name)
 }
 
 func (p *parser) parse() (*Design, error) {
 	d := New("")
-	for {
-		switch p.peek() {
-		case "":
-			return d, nil
+	named := false
+	for p.err == nil {
+		switch t := p.next(); t {
 		case "VERSION":
-			p.skipToSemi()
+			p.ident("version")
+			p.expect(";")
 		case "DESIGN":
-			p.next()
-			d.Name = p.next()
-			p.skipToSemi()
+			d.Name, named = p.ident("design name"), true
+			p.expect(";")
 		case "UNITS":
-			p.next()
-			p.next() // DISTANCE
-			p.next() // MICRONS
-			v, err := p.int()
-			if err != nil {
-				return nil, err
-			}
-			d.DBU = v
-			p.skipToSemi()
+			p.expect("DISTANCE")
+			p.expect("MICRONS")
+			d.DBU = p.int()
+			p.expect(";")
 		case "DIEAREA":
-			p.next()
-			lo, err := p.point()
-			if err != nil {
-				return nil, err
-			}
-			hi, err := p.point()
-			if err != nil {
-				return nil, err
-			}
-			d.Die = geom.Rect{Lo: lo, Hi: hi}
-			p.skipToSemi()
+			d.Die = geom.Rect{Lo: p.point(), Hi: p.point()}
+			p.expect(";")
 		case "ROW":
-			p.next()
-			r := Row{Name: p.next(), Site: p.next()}
-			x, err := p.int()
-			if err != nil {
-				return nil, err
-			}
-			y, err := p.int()
-			if err != nil {
-				return nil, err
-			}
-			r.Origin = geom.Pt(x, y)
-			p.next() // orientation
-			p.next() // DO
-			n, err := p.int()
-			if err != nil {
-				return nil, err
-			}
-			r.NumX = int(n)
-			p.next() // BY
-			p.next() // 1
-			p.next() // STEP
-			step, err := p.int()
-			if err != nil {
-				return nil, err
-			}
-			r.StepX = step
-			d.Rows = append(d.Rows, r)
-			p.skipToSemi()
+			d.Rows = append(d.Rows, p.row())
 		case "COMPONENTS":
-			if err := p.parseComponents(d); err != nil {
-				return nil, err
-			}
+			p.section(t, func() { d.Components = append(d.Components, p.component()) })
 		case "PINS":
-			if err := p.parsePins(d); err != nil {
-				return nil, err
-			}
+			p.section(t, func() { d.Pins = append(d.Pins, p.pin()) })
 		case "SPECIALNETS":
-			if err := p.parseSpecialNets(d); err != nil {
-				return nil, err
-			}
+			p.section(t, func() { d.SpecialNets = append(d.SpecialNets, p.specialNet()) })
 		case "NETS":
-			if err := p.parseNets(d); err != nil {
-				return nil, err
-			}
+			p.section(t, func() { d.Nets = append(d.Nets, p.net()) })
 		case "END":
-			p.next()
-			p.next() // DESIGN or section name
+			p.expect("DESIGN")
+			if !named {
+				p.fail("missing DESIGN statement")
+			}
+			if t := p.peek(); t != "" {
+				p.fail("unexpected token %q after END DESIGN", t)
+			}
+			if p.err == nil {
+				return d, nil
+			}
+		case "":
+			p.fail("unexpected end of input before END DESIGN")
 		default:
-			return nil, fmt.Errorf("def: unexpected token %q at %d", p.peek(), p.pos)
+			p.fail("unexpected token %q at %d", t, p.pos-1)
 		}
+	}
+	return nil, p.err
+}
+
+// row reads "name site x y orient DO n BY 1 STEP step 0 ;" after ROW.
+func (p *parser) row() Row {
+	r := Row{Name: p.ident("row name"), Site: p.ident("row site"), Origin: p.coords()}
+	p.ident("row orientation")
+	p.expect("DO")
+	r.NumX = int(p.int())
+	p.expect("BY")
+	p.int()
+	p.expect("STEP")
+	r.StepX = p.int()
+	p.int()
+	p.expect(";")
+	return r
+}
+
+// component reads "name macro + PLACED|FIXED ( x y ) orient ;".
+func (p *parser) component() *Component {
+	c := &Component{Name: p.ident("component name"), Macro: p.ident("component macro")}
+	p.expect("+")
+	switch kind := p.next(); kind {
+	case "PLACED":
+	case "FIXED":
+		c.Fixed = true
+	default:
+		p.fail("component %s: placement %q, want PLACED or FIXED", c.Name, kind)
+	}
+	c.Pos = p.point()
+	p.ident("component orientation")
+	p.expect(";")
+	return c
+}
+
+// pin reads "name + NET n + DIRECTION d + LAYER l + PLACED ( x y ) orient ;".
+func (p *parser) pin() *IOPin {
+	pin := &IOPin{Name: p.ident("pin name")}
+	pin.Net = p.attr("NET")
+	pin.Dir = p.attr("DIRECTION")
+	pin.Layer = p.attr("LAYER")
+	p.expect("+")
+	p.expect("PLACED")
+	pin.Pos = p.point()
+	p.ident("pin orientation")
+	p.expect(";")
+	return pin
+}
+
+// wire reads "layer [width] ( x y ) ( x y )"; special nets carry the
+// width, signal nets do not. A signal wire on a layer named VIA would
+// read back as a via, so it is rejected.
+func (p *parser) wire(width bool) Wire {
+	w := Wire{Layer: p.ident("wire layer")}
+	if width {
+		w.WidthNm = p.int()
+	} else if w.Layer == "VIA" {
+		p.fail("wire on a layer named VIA at token %d", p.pos-1)
+	}
+	w.From = p.point()
+	w.To = p.point()
+	return w
+}
+
+// routing reads a record's "[+ ROUTED ...] [NEW ...]* ;" tail, handing
+// each segment to seg with the rest of the segment unread; isNew tells a
+// NEW segment from the ROUTED one.
+func (p *parser) routing(seg func(isNew bool)) {
+	for t := p.next(); t != ";" && p.err == nil; t = p.next() {
+		switch t {
+		case "+":
+			p.expect("ROUTED")
+		case "NEW":
+		default:
+			p.fail("unexpected token %q at %d", t, p.pos-1)
+			return
+		}
+		seg(t == "NEW")
 	}
 }
 
-func (p *parser) parseComponents(d *Design) error {
-	p.next() // COMPONENTS
-	p.skipToSemi()
-	for p.peek() == "-" {
-		p.next()
-		c := &Component{Name: p.next(), Macro: p.next()}
-		if err := p.expect("+"); err != nil {
-			return err
-		}
-		kind := p.next()
-		c.Fixed = kind == "FIXED"
-		pt, err := p.point()
-		if err != nil {
-			return err
-		}
-		c.Pos = pt
-		d.Components = append(d.Components, c)
-		p.skipToSemi()
-	}
-	p.next() // END
-	p.next() // COMPONENTS
-	return nil
+// specialNet reads "name + USE use [+ ROUTED wire] [NEW wire]* ;".
+func (p *parser) specialNet() *SNet {
+	sn := &SNet{Name: p.ident("special net name"), Use: p.attr("USE")}
+	p.routing(func(bool) { sn.Wires = append(sn.Wires, p.wire(true)) })
+	return sn
 }
 
-func (p *parser) parsePins(d *Design) error {
-	p.next()
-	p.skipToSemi()
-	for p.peek() == "-" {
+// net reads "name ( comp pin )* [+ ROUTED wire] [NEW wire]*
+// [NEW VIA from to ( x y )]* ;".
+func (p *parser) net() *Net {
+	n := &Net{Name: p.ident("net name")}
+	for p.peek() == "(" {
 		p.next()
-		pin := &IOPin{Name: p.next()}
-		for p.peek() == "+" {
+		n.Pins = append(n.Pins, NetPin{Comp: p.ident("net pin component"), Pin: p.ident("net pin")})
+		p.expect(")")
+	}
+	p.routing(func(isNew bool) {
+		if isNew && p.peek() == "VIA" {
 			p.next()
-			switch p.next() {
-			case "NET":
-				pin.Net = p.next()
-			case "DIRECTION":
-				pin.Dir = p.next()
-			case "LAYER":
-				pin.Layer = p.next()
-			case "PLACED":
-				pt, err := p.point()
-				if err != nil {
-					return err
-				}
-				pin.Pos = pt
-				p.next() // orientation
-			}
+			v := Via{FromLayer: p.ident("via layer"), ToLayer: p.ident("via layer")}
+			v.At = p.point()
+			n.Vias = append(n.Vias, v)
+			return
 		}
-		d.Pins = append(d.Pins, pin)
-		p.skipToSemi()
-	}
-	p.next()
-	p.next()
-	return nil
-}
-
-func (p *parser) parseWire() (Wire, error) {
-	var w Wire
-	w.Layer = p.next()
-	// Optional width (specialnets carry one).
-	if v, err := strconv.ParseInt(p.peek(), 10, 64); err == nil {
-		w.WidthNm = v
-		p.next()
-	}
-	from, err := p.point()
-	if err != nil {
-		return w, err
-	}
-	to, err := p.point()
-	if err != nil {
-		return w, err
-	}
-	w.From, w.To = from, to
-	return w, nil
-}
-
-func (p *parser) parseSpecialNets(d *Design) error {
-	p.next()
-	p.skipToSemi()
-	for p.peek() == "-" {
-		p.next()
-		sn := &SNet{Name: p.next()}
-		for p.peek() != ";" && p.peek() != "" {
-			switch p.next() {
-			case "+":
-				switch p.next() {
-				case "USE":
-					sn.Use = p.next()
-				case "ROUTED":
-					w, err := p.parseWire()
-					if err != nil {
-						return err
-					}
-					sn.Wires = append(sn.Wires, w)
-				}
-			case "NEW":
-				w, err := p.parseWire()
-				if err != nil {
-					return err
-				}
-				sn.Wires = append(sn.Wires, w)
-			}
-		}
-		p.next() // ;
-		d.SpecialNets = append(d.SpecialNets, sn)
-	}
-	p.next()
-	p.next()
-	return nil
-}
-
-func (p *parser) parseNets(d *Design) error {
-	p.next()
-	p.skipToSemi()
-	for p.peek() == "-" {
-		p.next()
-		n := &Net{Name: p.next()}
-		for p.peek() == "(" {
-			p.next()
-			np := NetPin{Comp: p.next(), Pin: p.next()}
-			if err := p.expect(")"); err != nil {
-				return err
-			}
-			n.Pins = append(n.Pins, np)
-		}
-		for p.peek() != ";" && p.peek() != "" {
-			switch p.next() {
-			case "+":
-				if err := p.expect("ROUTED"); err != nil {
-					return err
-				}
-				w, err := p.parseWire()
-				if err != nil {
-					return err
-				}
-				n.Wires = append(n.Wires, w)
-			case "NEW":
-				if p.peek() == "VIA" {
-					p.next()
-					v := Via{FromLayer: p.next(), ToLayer: p.next()}
-					pt, err := p.point()
-					if err != nil {
-						return err
-					}
-					v.At = pt
-					n.Vias = append(n.Vias, v)
-					continue
-				}
-				w, err := p.parseWire()
-				if err != nil {
-					return err
-				}
-				n.Wires = append(n.Wires, w)
-			}
-		}
-		p.next() // ;
-		d.Nets = append(d.Nets, n)
-	}
-	p.next()
-	p.next()
-	return nil
+		n.Wires = append(n.Wires, p.wire(false))
+	})
+	return n
 }

@@ -82,54 +82,6 @@ type NetRC struct {
 	WirelenNm int64
 }
 
-// Equal reports whether two extracted net views are bit-identical: every
-// float field compared by its IEEE-754 bit pattern, the Elmore tables
-// element-wise. This is the cleanliness predicate of the incremental
-// timing path — a net whose re-extracted view is Equal to the baseline
-// cannot perturb any downstream arrival by even one ULP.
-func (n *NetRC) Equal(o *NetRC) bool {
-	if n == nil || o == nil {
-		return n == o
-	}
-	if n.Name != o.Name || n.WirelenNm != o.WirelenNm ||
-		math.Float64bits(n.TotalCapFF) != math.Float64bits(o.TotalCapFF) ||
-		math.Float64bits(n.WireCapFF) != math.Float64bits(o.WireCapFF) ||
-		len(n.ElmorePs) != len(o.ElmorePs) {
-		return false
-	}
-	for i, v := range n.ElmorePs {
-		if math.Float64bits(v) != math.Float64bits(o.ElmorePs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// DiffRC compares two dense net-Seq-indexed extraction databases and
-// appends to dst the Seqs of every net whose view changed — the dirty set
-// sta.Engine.Reanalyze consumes. Slots present in only one database (the
-// views disagree on the design size) are reported dirty. dst is reused
-// scratch; pass dst[:0] to rebuild in place.
-func DiffRC(dst []int32, old, new []*NetRC) []int32 {
-	n := len(new)
-	if len(old) > n {
-		n = len(old)
-	}
-	for i := 0; i < n; i++ {
-		var o, w *NetRC
-		if i < len(old) {
-			o = old[i]
-		}
-		if i < len(new) {
-			w = new[i]
-		}
-		if !o.Equal(w) {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
 // MaxElmore returns the worst sink delay.
 func (n *NetRC) MaxElmore() float64 {
 	m := 0.0

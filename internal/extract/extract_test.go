@@ -160,69 +160,3 @@ func TestSlewDegrade(t *testing.T) {
 		t.Error("wire delay must degrade slew")
 	}
 }
-
-// TestNetRCEqualBitExact pins the cleanliness predicate of the
-// incremental timing path: Equal must be true only for bit-identical
-// views — any field differing by even one ULP marks the net dirty.
-func TestNetRCEqualBitExact(t *testing.T) {
-	mk := func() *NetRC {
-		return &NetRC{Name: "n", TotalCapFF: 3.25, WireCapFF: 1.5,
-			ElmorePs: []float64{2, 4, 8}, WirelenNm: 120}
-	}
-	a, b := mk(), mk()
-	if !a.Equal(b) || !a.Equal(a) {
-		t.Fatal("identical views must compare Equal")
-	}
-	var nilRC *NetRC
-	if !nilRC.Equal(nil) || a.Equal(nil) || nilRC.Equal(a) {
-		t.Error("nil handling wrong")
-	}
-	ulp := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
-	cases := map[string]func(*NetRC){
-		"name":    func(n *NetRC) { n.Name = "m" },
-		"cap":     func(n *NetRC) { n.TotalCapFF = ulp(n.TotalCapFF) },
-		"wirecap": func(n *NetRC) { n.WireCapFF = ulp(n.WireCapFF) },
-		"elmore":  func(n *NetRC) { n.ElmorePs[1] = ulp(n.ElmorePs[1]) },
-		"sinks":   func(n *NetRC) { n.ElmorePs = n.ElmorePs[:2] },
-		"wirelen": func(n *NetRC) { n.WirelenNm++ },
-	}
-	for name, mut := range cases {
-		c := mk()
-		mut(c)
-		if a.Equal(c) {
-			t.Errorf("%s change not detected", name)
-		}
-	}
-}
-
-// TestDiffRC pins the changed-net reporting: exactly the mutated Seqs,
-// in ascending order, with nil/missing slots treated as dirty.
-func TestDiffRC(t *testing.T) {
-	mk := func(capFF float64) *NetRC {
-		return &NetRC{Name: "n", TotalCapFF: capFF, ElmorePs: []float64{1}}
-	}
-	old := []*NetRC{mk(1), mk(2), nil, mk(4), mk(5)}
-	new := []*NetRC{mk(1), mk(9), nil, mk(4), mk(5)}
-	if d := DiffRC(nil, old, old); len(d) != 0 {
-		t.Errorf("self-diff = %v, want empty", d)
-	}
-	if d := DiffRC(nil, old, new); len(d) != 1 || d[0] != 1 {
-		t.Errorf("diff = %v, want [1]", d)
-	}
-	// A nil slot on one side only is dirty; equal *values* in distinct
-	// allocations are clean.
-	new2 := []*NetRC{mk(1), mk(2), mk(3), mk(4), nil}
-	if d := DiffRC(nil, old, new2); len(d) != 2 || d[0] != 2 || d[1] != 4 {
-		t.Errorf("diff = %v, want [2 4]", d)
-	}
-	// Length mismatch: the tail is dirty.
-	if d := DiffRC(nil, old[:3], old); len(d) != 2 || d[0] != 3 || d[1] != 4 {
-		t.Errorf("tail diff = %v, want [3 4]", d)
-	}
-	// dst reuse appends into the provided scratch.
-	scratch := make([]int32, 0, 8)
-	d := DiffRC(scratch, old, new)
-	if len(d) != 1 || cap(d) != 8 {
-		t.Errorf("scratch reuse failed: len=%d cap=%d", len(d), cap(d))
-	}
-}

@@ -11,8 +11,8 @@
 // skip conditions are proven conservative (any cell whose decision could
 // change is re-probed through the same placeOne procedure the full path
 // uses), CheckLegal gates every delta result, and any doubt falls back to
-// full Legalize — mirroring the sta.Reanalyze fallback contract, so the
-// delta path is bit-identical to the full path by construction.
+// full Legalize — mirroring the sta.ReanalyzeStateCtx fallback contract,
+// so the delta path is bit-identical to the full path by construction.
 package place
 
 import (

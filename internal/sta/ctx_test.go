@@ -23,15 +23,15 @@ func TestAnalyzeCtxCancelled(t *testing.T) {
 		t.Fatalf("cancelled analyze = %v, want context.Canceled in chain", err)
 	}
 
-	// The half-propagated state must not be trusted: a Reanalyze right
+	// The half-propagated state must not be trusted: a reanalysis right
 	// after the cancel must run full (not incremental) and match a fresh
 	// engine's answer exactly.
-	got, err := e.Reanalyze(Input{}, DefaultOptions(), nil)
-	if err != nil {
-		t.Fatalf("Reanalyze after cancel: %v", err)
+	var got Result
+	if err := reanalyzeInto(e, &got, Input{}, DefaultOptions(), nil); err != nil {
+		t.Fatalf("reanalysis after cancel: %v", err)
 	}
 	if e.Stats().Incremental {
-		t.Error("Reanalyze after cancel ran incrementally off a dropped basis")
+		t.Error("reanalysis after cancel ran incrementally off a dropped basis")
 	}
 	want, err := Analyze(nl, Input{}, DefaultOptions())
 	if err != nil {
@@ -55,8 +55,7 @@ func TestReanalyzeCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var res Result
-	err = e.ReanalyzeIntoCtx(ctx, &res, Input{}, DefaultOptions(), []int32{int32(nl.Net("s1").Seq)})
+	err = e.ReanalyzeStateCtx(ctx, Input{}, DefaultOptions(), []int32{int32(nl.Net("s1").Seq)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled reanalyze = %v, want context.Canceled in chain", err)
 	}

@@ -3,6 +3,7 @@ package sta
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -80,8 +81,7 @@ func randomRC(nl *netlist.Netlist, rng *rand.Rand) []*extract.NetRC {
 // perturbRC returns a copy of rc where a random subset of nets got a new
 // view — scaled up (degraded cones) or down (improved cones, the case a
 // monotonic worst-endpoint update would get wrong). Clean nets keep the
-// identical *NetRC. The returned dirty set is what extract.DiffRC would
-// report.
+// identical *NetRC; diffRC reports the perturbed set.
 func perturbRC(rc []*extract.NetRC, rng *rand.Rand, frac float64) []*extract.NetRC {
 	out := make([]*extract.NetRC, len(rc))
 	copy(out, rc)
@@ -105,6 +105,119 @@ func perturbRC(rc []*extract.NetRC, rng *rand.Rand, frac float64) []*extract.Net
 	return out
 }
 
+// rcEqual reports whether two extracted net views are bit-identical:
+// every float field compared by its IEEE-754 bit pattern, the Elmore
+// tables element-wise. A net whose view is rcEqual to the retained one
+// cannot perturb any downstream arrival by even one ULP, so it may be
+// left out of a dirty set.
+func rcEqual(a, b *extract.NetRC) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Name != b.Name || a.WirelenNm != b.WirelenNm ||
+		math.Float64bits(a.TotalCapFF) != math.Float64bits(b.TotalCapFF) ||
+		math.Float64bits(a.WireCapFF) != math.Float64bits(b.WireCapFF) ||
+		len(a.ElmorePs) != len(b.ElmorePs) {
+		return false
+	}
+	for i, v := range a.ElmorePs {
+		if math.Float64bits(v) != math.Float64bits(b.ElmorePs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffRC returns the Seqs of every net whose view differs between two
+// dense RC databases — the dirty set ReanalyzeStateCtx consumes. Slots
+// present in only one database are reported dirty.
+func diffRC(old, new []*extract.NetRC) []int32 {
+	var dst []int32
+	for i := 0; i < max(len(old), len(new)); i++ {
+		var o, w *extract.NetRC
+		if i < len(old) {
+			o = old[i]
+		}
+		if i < len(new) {
+			w = new[i]
+		}
+		if !rcEqual(o, w) {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
+// reanalyzeInto re-times eng through ReanalyzeStateCtx and reduces the
+// updated state into dst with the same reduction a full analysis uses,
+// so a result can be compared against AnalyzeInto bit for bit.
+func reanalyzeInto(eng *Engine, dst *Result, in Input, opt Options, dirty []int32) error {
+	if err := eng.ReanalyzeStateCtx(context.Background(), in, opt, dirty); err != nil {
+		return err
+	}
+	return eng.finishInto(dst, in)
+}
+
+// TestNetRCEqualBitExact pins the cleanliness predicate the dirty sets
+// of these tests are built with: rcEqual must be true only for
+// bit-identical views — any field differing by even one ULP marks the
+// net dirty.
+func TestNetRCEqualBitExact(t *testing.T) {
+	mk := func() *extract.NetRC {
+		return &extract.NetRC{Name: "n", TotalCapFF: 3.25, WireCapFF: 1.5,
+			ElmorePs: []float64{2, 4, 8}, WirelenNm: 120}
+	}
+	a, b := mk(), mk()
+	if !rcEqual(a, b) || !rcEqual(a, a) {
+		t.Fatal("identical views must compare equal")
+	}
+	if !rcEqual(nil, nil) || rcEqual(a, nil) || rcEqual(nil, a) {
+		t.Error("nil handling wrong")
+	}
+	ulp := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	cases := map[string]func(*extract.NetRC){
+		"name":    func(n *extract.NetRC) { n.Name = "m" },
+		"cap":     func(n *extract.NetRC) { n.TotalCapFF = ulp(n.TotalCapFF) },
+		"wirecap": func(n *extract.NetRC) { n.WireCapFF = ulp(n.WireCapFF) },
+		"elmore":  func(n *extract.NetRC) { n.ElmorePs[1] = ulp(n.ElmorePs[1]) },
+		"sinks":   func(n *extract.NetRC) { n.ElmorePs = n.ElmorePs[:2] },
+		"wirelen": func(n *extract.NetRC) { n.WirelenNm++ },
+	}
+	for name, mut := range cases {
+		c := mk()
+		mut(c)
+		if rcEqual(a, c) {
+			t.Errorf("%s change not detected", name)
+		}
+	}
+}
+
+// TestDiffRC pins the changed-net reporting: exactly the mutated Seqs,
+// in ascending order, with nil/missing slots treated as dirty.
+func TestDiffRC(t *testing.T) {
+	mk := func(capFF float64) *extract.NetRC {
+		return &extract.NetRC{Name: "n", TotalCapFF: capFF, ElmorePs: []float64{1}}
+	}
+	old := []*extract.NetRC{mk(1), mk(2), nil, mk(4), mk(5)}
+	new := []*extract.NetRC{mk(1), mk(9), nil, mk(4), mk(5)}
+	if d := diffRC(old, old); len(d) != 0 {
+		t.Errorf("self-diff = %v, want empty", d)
+	}
+	if d := diffRC(old, new); len(d) != 1 || d[0] != 1 {
+		t.Errorf("diff = %v, want [1]", d)
+	}
+	// A nil slot on one side only is dirty; equal *values* in distinct
+	// allocations are clean.
+	new2 := []*extract.NetRC{mk(1), mk(2), mk(3), mk(4), nil}
+	if d := diffRC(old, new2); len(d) != 2 || d[0] != 2 || d[1] != 4 {
+		t.Errorf("diff = %v, want [2 4]", d)
+	}
+	// Length mismatch: the tail is dirty.
+	if d := diffRC(old[:3], old); len(d) != 2 || d[0] != 3 || d[1] != 4 {
+		t.Errorf("tail diff = %v, want [3 4]", d)
+	}
+}
+
 // requireSameResult asserts exact (bit-level) equality of two results.
 func requireSameResult(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
@@ -126,7 +239,7 @@ func requireSameResult(t *testing.T, tag string, got, want *Result) {
 // TestReanalyzeMatchesFullAnalyze is the incremental-correctness property
 // test: over many random circuits and random dirty subsets — including
 // improved-slack cones, empty dirty sets, and chains of successive
-// reanalyses — Reanalyze on a forked engine must reproduce a from-scratch
+// reanalyses — ReanalyzeStateCtx on a forked engine must reproduce a from-scratch
 // full Analyze bit for bit.
 func TestReanalyzeMatchesFullAnalyze(t *testing.T) {
 	opt := DefaultOptions()
@@ -155,13 +268,13 @@ func TestReanalyzeMatchesFullAnalyze(t *testing.T) {
 		cur := rc
 		for step := 0; step < 5; step++ {
 			next := perturbRC(cur, rng, 0.15)
-			dirty := extract.DiffRC(nil, cur, next)
+			dirty := diffRC(cur, next)
 			var got Result
-			if err := eng.ReanalyzeInto(&got, Input{NetRC: next, ClockArrivalPs: clk}, opt, dirty); err != nil {
+			if err := reanalyzeInto(eng, &got, Input{NetRC: next, ClockArrivalPs: clk}, opt, dirty); err != nil {
 				t.Fatal(err)
 			}
 			if !eng.Stats().Incremental {
-				t.Fatalf("round %d step %d: Reanalyze did not take the incremental path", round, step)
+				t.Fatalf("round %d step %d: reanalysis did not take the incremental path", round, step)
 			}
 			if len(dirty) > 0 && eng.Stats().RecomputedCells == 0 && eng.Stats().RecomputedEndpoints == 0 {
 				t.Fatalf("round %d step %d: dirty set %d but nothing recomputed", round, step, len(dirty))
@@ -182,7 +295,7 @@ func TestReanalyzeMatchesFullAnalyze(t *testing.T) {
 		// reproduce the retained analysis exactly.
 		empty := base.Fork()
 		var got Result
-		if err := empty.ReanalyzeInto(&got, Input{NetRC: rc, ClockArrivalPs: clk}, opt, nil); err != nil {
+		if err := reanalyzeInto(empty, &got, Input{NetRC: rc, ClockArrivalPs: clk}, opt, nil); err != nil {
 			t.Fatal(err)
 		}
 		if st := empty.Stats(); !st.Incremental || st.RecomputedCells != 0 || st.RecomputedEndpoints != 0 {
@@ -198,7 +311,7 @@ func TestReanalyzeMatchesFullAnalyze(t *testing.T) {
 		for i := range all {
 			all[i] = int32(i)
 		}
-		if err := super.ReanalyzeInto(&got, Input{NetRC: rc, ClockArrivalPs: clk}, opt, all); err != nil {
+		if err := reanalyzeInto(super, &got, Input{NetRC: rc, ClockArrivalPs: clk}, opt, all); err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, fmt.Sprintf("round %d superset", round), &got, &baseRes)
@@ -238,21 +351,21 @@ func TestReanalyzeImprovedCriticalCone(t *testing.T) {
 	for j := range light[s3.Seq].ElmorePs {
 		light[s3.Seq].ElmorePs[j] = 1
 	}
-	dirty := extract.DiffRC(nil, heavy, light)
+	dirty := diffRC(heavy, light)
 	if len(dirty) != 1 || dirty[0] != int32(s3.Seq) {
 		t.Fatalf("dirty = %v, want exactly [%d]", dirty, s3.Seq)
 	}
 
 	eng := base.Fork()
-	got, err := eng.Reanalyze(Input{NetRC: light}, opt, dirty)
-	if err != nil {
+	var got Result
+	if err := reanalyzeInto(eng, &got, Input{NetRC: light}, opt, dirty); err != nil {
 		t.Fatal(err)
 	}
 	want, err := Analyze(nl, Input{NetRC: light}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "improved cone", got, want)
+	requireSameResult(t, "improved cone", &got, want)
 	if !(got.MinPeriodPs < heavyPeriod) {
 		t.Fatalf("improved cone did not lower the period: %.3f -> %.3f", heavyPeriod, got.MinPeriodPs)
 	}
@@ -261,7 +374,7 @@ func TestReanalyzeImprovedCriticalCone(t *testing.T) {
 	}
 }
 
-// TestReanalyzeBasisMismatchFallsBack locks the safety valve: a Reanalyze
+// TestReanalyzeBasisMismatchFallsBack locks the safety valve: a reanalysis
 // under different options or clock arrivals than the retained basis must
 // run a full analysis (and say so in Stats), never a wrong incremental one.
 func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
@@ -277,8 +390,8 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 
 	slower := opt
 	slower.InputSlewPs = 22
-	got, err := eng.Reanalyze(Input{}, slower, nil)
-	if err != nil {
+	var got Result
+	if err := reanalyzeInto(eng, &got, Input{}, slower, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Incremental {
@@ -288,12 +401,11 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "opt fallback", got, want)
+	requireSameResult(t, "opt fallback", &got, want)
 
 	// Clock-table change (including nil vs non-nil) is a basis change too.
 	arr := arrivals(nl, map[string]float64{"ff1": 4, "ff2": 9})
-	got, err = eng.Reanalyze(Input{ClockArrivalPs: arr}, slower, nil)
-	if err != nil {
+	if err := reanalyzeInto(eng, &got, Input{ClockArrivalPs: arr}, slower, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Incremental {
@@ -303,14 +415,14 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "clk fallback", got, want)
+	requireSameResult(t, "clk fallback", &got, want)
 
 	// An engine with no retained state at all falls back as well.
 	cold, err := NewEngine(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cold.Reanalyze(Input{}, opt, nil); err != nil {
+	if err := reanalyzeInto(cold, &got, Input{}, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats().Incremental {
@@ -325,8 +437,7 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk[nl.Instance("ff2").Seq] = 25 // in-place mutation of the caller buffer
-	got, err = eng.Reanalyze(Input{ClockArrivalPs: clk}, opt, nil)
-	if err != nil {
+	if err := reanalyzeInto(eng, &got, Input{ClockArrivalPs: clk}, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Incremental {
@@ -336,19 +447,18 @@ func TestReanalyzeBasisMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "aliased clk fallback", got, want)
+	requireSameResult(t, "aliased clk fallback", &got, want)
 
-	// A dirty Seq outside the engine's net table (DiffRC emits those when
+	// A dirty Seq outside the engine's net table (diffRC emits those when
 	// the RC views disagree on the design size) is a basis mismatch, not
 	// a net to skip.
-	got, err = eng.Reanalyze(Input{ClockArrivalPs: clk}, opt, []int32{int32(len(nl.Nets)) + 3})
-	if err != nil {
+	if err := reanalyzeInto(eng, &got, Input{ClockArrivalPs: clk}, opt, []int32{int32(len(nl.Nets)) + 3}); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().Incremental {
 		t.Fatal("out-of-range dirty Seq must force a full analysis")
 	}
-	requireSameResult(t, "out-of-range fallback", got, want)
+	requireSameResult(t, "out-of-range fallback", &got, want)
 }
 
 // TestForkIsolation guards the clone-on-fork contract: re-timing a forked
@@ -374,20 +484,20 @@ func TestForkIsolation(t *testing.T) {
 	rcA := perturbRC(rc, rng, 0.5)
 	rcB := perturbRC(rc, rng, 0.5)
 	var resA, resB Result
-	if err := a.ReanalyzeInto(&resA, Input{NetRC: rcA}, opt, extract.DiffRC(nil, rc, rcA)); err != nil {
+	if err := reanalyzeInto(a, &resA, Input{NetRC: rcA}, opt, diffRC(rc, rcA)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ReanalyzeInto(&resB, Input{NetRC: rcB}, opt, extract.DiffRC(nil, rc, rcB)); err != nil {
+	if err := reanalyzeInto(b, &resB, Input{NetRC: rcB}, opt, diffRC(rc, rcB)); err != nil {
 		t.Fatal(err)
 	}
 
 	// The parent re-running over its original view must reproduce its
 	// original result: no child write leaked into its state.
-	again, err := parent.Reanalyze(Input{NetRC: rc}, opt, nil)
-	if err != nil {
+	var again Result
+	if err := reanalyzeInto(parent, &again, Input{NetRC: rc}, opt, nil); err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "parent after child reanalyses", again, parentSnap)
+	requireSameResult(t, "parent after child reanalyses", &again, parentSnap)
 
 	for tag, pair := range map[string]struct {
 		in  []*extract.NetRC
@@ -403,13 +513,13 @@ func TestForkIsolation(t *testing.T) {
 
 // TestAnalyzeIntoAllocsFree pins the caller-reusable storage contract:
 // once the destination Result is warmed, both AnalyzeInto and a dirty
-// ReanalyzeInto run without a single allocation.
+// ReanalyzeStateCtx plus its reduction run without a single allocation.
 func TestAnalyzeIntoAllocsFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	nl := web(t, 4, 30, 3)
 	rc := randomRC(nl, rng)
 	rc2 := perturbRC(rc, rng, 0.3)
-	dirty := extract.DiffRC(nil, rc, rc2)
+	dirty := diffRC(rc, rc2)
 	opt := DefaultOptions()
 
 	eng, err := NewEngine(nl)
@@ -427,15 +537,15 @@ func TestAnalyzeIntoAllocsFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("AnalyzeInto allocates %.1f objects/op, want 0", allocs)
 	}
-	if err := eng.ReanalyzeInto(&dst, Input{NetRC: rc2}, opt, dirty); err != nil { // warm dirty scratch
+	if err := reanalyzeInto(eng, &dst, Input{NetRC: rc2}, opt, dirty); err != nil { // warm dirty scratch
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := eng.ReanalyzeInto(&dst, Input{NetRC: rc2}, opt, dirty); err != nil {
+		if err := reanalyzeInto(eng, &dst, Input{NetRC: rc2}, opt, dirty); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("ReanalyzeInto allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("reanalysis allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -473,7 +583,7 @@ func TestReanalyzeStateMatchesFull(t *testing.T) {
 				eng = eng.Fork()
 			}
 			next := perturbRC(cur, rng, 0.2)
-			dirty := extract.DiffRC(nil, cur, next)
+			dirty := diffRC(cur, next)
 			in := Input{NetRC: next, ClockArrivalPs: clk}
 			if err := eng.ReanalyzeStateCtx(context.Background(), in, opt, dirty); err != nil {
 				t.Fatal(err)
@@ -497,9 +607,9 @@ func TestReanalyzeStateMatchesFull(t *testing.T) {
 					round, step, gotW, gotT, wantW, wantT)
 			}
 			// The state must also still reduce into a bit-identical full
-			// Result (state-only and Into variants share one propagation).
+			// Result through the full analysis's reduction.
 			var got Result
-			if err := eng.ReanalyzeInto(&got, in, opt, nil); err != nil {
+			if err := reanalyzeInto(eng, &got, in, opt, nil); err != nil {
 				t.Fatal(err)
 			}
 			requireSameResult(t, fmt.Sprintf("round %d step %d state", round, step), &got, &want)

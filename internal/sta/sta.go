@@ -10,13 +10,14 @@
 // endpoints) into flat Seq-indexed arrays; repeated Analyze calls then
 // propagate arrivals over epoch-stamped scratch without allocating.
 //
-// On top of the reusable build, the Engine is incremental: Analyze retains
-// the full propagation state (per-net arrivals/slews plus a per-endpoint
-// setup table), Fork clones that state into an independent child sharing
-// the immutable graph tables, and Reanalyze re-propagates only the forward
-// fanout cones of nets whose RC changed — the unit of work behind the
-// paper's dense frequency/DoE sweeps, where neighboring points differ in a
-// handful of nets.
+// On top of the reusable build, the Engine retains the full propagation
+// state of its last analysis (per-net arrivals/slews plus a per-endpoint
+// setup table). Fork clones that state into an independent child sharing
+// the immutable graph tables, ReanalyzeStateCtx re-propagates only the
+// forward fanout cones of nets whose RC changed, and SlackStats reduces
+// the endpoint table — the cone-retiming core a Monte Carlo variation
+// study runs per sample, where each sample perturbs a subset of nets.
+// A flow session times itself once, with a full AnalyzeIntoCtx.
 package sta
 
 import (
@@ -37,8 +38,8 @@ const cancelCheckEvery = 4096
 
 // cancelled builds the error a cancelled propagation returns. The engine's
 // retained state is partially updated at that point, so callers of the
-// Ctx variants also see hasBase dropped: the next Reanalyze falls back to
-// a full pass instead of trusting a half-propagated basis.
+// Ctx variants also see hasBase dropped: the next ReanalyzeStateCtx falls
+// back to a full pass instead of trusting a half-propagated basis.
 func cancelled(ctx context.Context) error {
 	return fmt.Errorf("sta: cancelled during propagation: %w", ctx.Err())
 }
@@ -95,14 +96,14 @@ func (r *Result) Clone() *Result {
 	return &out
 }
 
-// ReStats summarizes what the last Analyze/Reanalyze call on an Engine
+// ReStats summarizes what the last analysis call on an Engine
 // actually did — the observability hook incremental tests and benchmarks
 // assert against.
 type ReStats struct {
 	// Incremental is true when the call took the cone-re-propagation
 	// path; false for a full (re)analysis.
 	Incremental bool
-	// DirtyNets is the size of the dirty set handed to Reanalyze.
+	// DirtyNets is the size of the dirty set handed to ReanalyzeStateCtx.
 	DirtyNets int
 	// RecomputedCells counts combinational cells whose output was
 	// re-evaluated (full analysis: every driven cell).
@@ -118,7 +119,7 @@ type ReStats struct {
 // (reconnects, buffer insertion, resizing).
 //
 // After an Analyze the Engine holds the complete propagation state of that
-// run; Reanalyze updates it in place for a changed RC view, and Fork
+// run; ReanalyzeStateCtx updates it in place for a changed RC view, and Fork
 // clones it for an independent session (shared immutable graph tables,
 // private mutable arrival/endpoint state).
 type Engine struct {
@@ -173,7 +174,7 @@ type Engine struct {
 	// Flat mirrors of the RC view the retained state was computed under
 	// (mutable, fork-copied): per-net load, per-arc-row wire delay into
 	// the row's sink pin, and per-flop wire delay into the D pin. A full
-	// analysis refreshes all three from the Input; Reanalyze refreshes
+	// analysis refreshes all three from the Input; a reanalysis refreshes
 	// only the dirty nets' entries. Propagation reads these flat arrays
 	// instead of chasing *extract.NetRC pointers per arc.
 	loadFF  []float64
@@ -183,14 +184,14 @@ type Engine struct {
 	// Per-endpoint setup state, aligned with flops: the required period
 	// and D-pin arrival of every constrained check from the last
 	// analysis. Keeping the whole table (not just the running max) is
-	// what lets Reanalyze handle cones whose slack improves — the worst
+	// what lets a reanalysis handle cones whose slack improves — the worst
 	// endpoint is recomputed exactly over all entries, never monotonically.
 	endNeed []float64
 	endArr  []float64
 	endOK   []bool
 
-	// Reanalyze basis bookkeeping: the options and clock arrivals the
-	// retained state was computed under. A Reanalyze under different
+	// Reanalysis basis bookkeeping: the options and clock arrivals the
+	// retained state was computed under. A reanalysis under different
 	// analysis conditions falls back to a full pass.
 	hasBase bool
 	baseOpt Options
@@ -200,7 +201,7 @@ type Engine struct {
 	baseClkNil bool
 
 	// Cone-walk adjacency (immutable, shared by forks): the forward
-	// indices Reanalyze needs to touch only the dirty fanout cones
+	// indices a reanalysis needs to touch only the dirty fanout cones
 	// instead of scanning the whole levelized order per call.
 	levelOf   []int32 // per instance: levelized level index, -1 for flops/sources
 	driverOf  []int32 // per net: Seq of its combinational driver, -1 if flop/port-driven
@@ -210,7 +211,7 @@ type Engine struct {
 	dFlop     []int32 // flop indices (into flops) whose D pin loads the net
 	qFlopOf   []int32 // per net: flop index whose Q output drives it, -1 otherwise
 
-	// Reanalyze dirty tracking, epoch-stamped like the arrival state:
+	// Reanalysis dirty tracking, epoch-stamped like the arrival state:
 	// rcStamp marks nets whose RC changed this call, valStamp nets whose
 	// recomputed arrival or slew differs from the retained state.
 	reEpoch  uint32
@@ -605,98 +606,7 @@ func (e *Engine) Fork() *Engine {
 	return &c
 }
 
-// ForkRestamped forks the Engine onto a Seq-corresponding netlist that
-// differs from the build netlist only by drive resizing of the listed
-// instances (netlist.Diff's SeqStable contract). The fork shares the
-// structural tables — connectivity is identical by precondition — but
-// re-points every instance reference into nl and rebuilds the arc tables
-// of the resized rows, so a later Reanalyze with the resized cells'
-// output nets in its dirty set re-times their cones through the new
-// arcs. The retained propagation state carries over: it is the exact
-// state of the parent's last analysis, which is the correct Reanalyze
-// basis for the child as long as the caller supplies a dirty set
-// covering every net whose RC or driving arcs changed.
-//
-// Returns an error when nl does not correspond to the build netlist
-// (callers fall back to building a fresh Engine).
-func (e *Engine) ForkRestamped(nl *netlist.Netlist, resized []int32) (*Engine, error) {
-	if len(nl.Instances) != len(e.nl.Instances) || len(nl.Nets) != len(e.stamp) || len(nl.Ports) != len(e.nl.Ports) {
-		return nil, fmt.Errorf("sta: restamp netlist shape mismatch")
-	}
-	isResized := make([]bool, len(nl.Instances))
-	for _, seq := range resized {
-		if seq < 0 || int(seq) >= len(isResized) {
-			return nil, fmt.Errorf("sta: restamp resized seq %d out of range", seq)
-		}
-		isResized[seq] = true
-	}
-	for i, inst := range nl.Instances {
-		old := e.nl.Instances[i]
-		if inst.Name != old.Name {
-			return nil, fmt.Errorf("sta: restamp instance %d name mismatch", i)
-		}
-		if isResized[i] {
-			if inst.Cell.Base != old.Cell.Base || len(inst.Cell.Inputs) != len(old.Cell.Inputs) {
-				return nil, fmt.Errorf("sta: restamp %s is not a drive change", inst.Name)
-			}
-		} else if inst.Cell.Name != old.Cell.Name {
-			return nil, fmt.Errorf("sta: restamp %s resized but not listed", inst.Name)
-		}
-	}
-
-	c := e.Fork()
-	c.nl = nl
-	arena := make([]*netlist.Instance, len(e.order))
-	for i, inst := range e.order {
-		arena[i] = nl.Instances[inst.Seq]
-	}
-	c.order = arena
-	c.Levels = make([][]*netlist.Instance, len(e.Levels))
-	off := 0
-	for li, level := range e.Levels {
-		c.Levels[li] = arena[off : off+len(level) : off+len(level)]
-		off += len(level)
-	}
-	c.flops = make([]*netlist.Instance, len(e.flops))
-	for i, ff := range e.flops {
-		c.flops[i] = nl.Instances[ff.Seq]
-	}
-	// Rebuild the arc-table rows of the resized cells, then re-deduplicate
-	// the flattened fast-path forms over the new table (the parent's flats
-	// arena must not be appended to — forks share it).
-	arcTab := make([]*liberty.Arc, len(e.arcTab))
-	copy(arcTab, e.arcTab)
-	for _, seq := range resized {
-		inst := nl.Instances[seq]
-		row := e.arcStart[seq]
-		if int(e.arcStart[seq+1]-row) != len(inst.Cell.Inputs) {
-			return nil, fmt.Errorf("sta: restamp %s input count changed", inst.Name)
-		}
-		for _, p := range inst.Cell.Inputs {
-			arcTab[row] = inst.Cell.Arc(p.Name)
-			row++
-		}
-	}
-	c.arcTab = arcTab
-	c.arcFlat = make([]int32, len(arcTab))
-	c.flats = nil
-	flatOf := make(map[*liberty.Arc]int32, 16)
-	for row, a := range arcTab {
-		fi, seen := flatOf[a]
-		if !seen {
-			fi = -1
-			if f, ok := flattenArc(a); ok {
-				fi = int32(len(c.flats))
-				c.flats = append(c.flats, f)
-			}
-			flatOf[a] = fi
-		}
-		c.arcFlat[row] = fi
-	}
-	return c, nil
-}
-
-// Stats reports what the last Analyze/Reanalyze call on this Engine did.
+// Stats reports what the last analysis call on this Engine did.
 func (e *Engine) Stats() ReStats { return e.stats }
 
 // Analyze runs full STA and derives the minimum feasible clock period.
@@ -774,49 +684,25 @@ func (e *Engine) analyzeState(ctx context.Context, in Input, opt Options) error 
 	return nil
 }
 
-// Reanalyze re-times the design after an RC change, given the dense set of
-// net Seqs whose extracted view differs from the one the Engine's retained
-// state was computed under (extract.DiffRC emits exactly that set; a net
+// ReanalyzeStateCtx updates the retained propagation and endpoint state
+// for a changed RC view, given the dense set of net Seqs whose extracted
+// view differs from the one the retained state was computed under (a net
 // absent from dirtyNets must be bit-identical in both views). Only the
 // forward fanout cones of dirty nets are re-propagated, over the existing
 // levelized order; everything outside the cones keeps its retained
-// arrivals, and the worst endpoint is recomputed exactly over the full
-// per-endpoint table — cones whose slack improves are handled, not just
-// degradations. The merged state, and therefore the Result, is bit-identical
-// to a full Analyze of the new view.
+// arrivals, and the endpoint table is updated exactly — cones whose slack
+// improves are handled, not just degradations. The state after a call is
+// bit-identical to a full analysis of the new view.
 //
-// A Reanalyze under different Options or clock arrivals than the retained
-// basis — or on an Engine with no retained state — falls back to a full
-// Analyze. The returned Result is Engine-owned like Analyze's.
-func (e *Engine) Reanalyze(in Input, opt Options, dirtyNets []int32) (*Result, error) {
-	if err := e.ReanalyzeInto(&e.res, in, opt, dirtyNets); err != nil {
-		return nil, err
-	}
-	return &e.res, nil
-}
-
-// ReanalyzeInto is Reanalyze filling caller-owned storage (see AnalyzeInto).
-func (e *Engine) ReanalyzeInto(dst *Result, in Input, opt Options, dirtyNets []int32) error {
-	return e.ReanalyzeIntoCtx(context.Background(), dst, in, opt, dirtyNets)
-}
-
-// ReanalyzeIntoCtx is ReanalyzeInto under a context; see AnalyzeIntoCtx
-// for the cancellation semantics (a cancelled re-propagation likewise
-// drops the retained basis).
-func (e *Engine) ReanalyzeIntoCtx(ctx context.Context, dst *Result, in Input, opt Options, dirtyNets []int32) error {
-	if err := e.ReanalyzeStateCtx(ctx, in, opt, dirtyNets); err != nil {
-		return err
-	}
-	return e.finishInto(dst, in)
-}
-
-// ReanalyzeStateCtx updates the retained propagation and endpoint state
-// for a changed RC view without reducing a Result — the unit of work of a
-// Monte Carlo sampling loop, which only needs SlackStats afterwards and
-// would otherwise pay a full-design reduction (worst slew scan, critical
-// path trace) per sample. Fallback and cancellation semantics match
-// ReanalyzeIntoCtx; the state after a call is bit-identical to a full
-// analysis of the new view.
+// No Result is reduced: this is the unit of work of a Monte Carlo
+// sampling loop, which only needs SlackStats afterwards and would
+// otherwise pay a full-design reduction (worst slew scan, critical path
+// trace) per sample.
+//
+// A call under different Options or clock arrivals than the retained
+// basis, with a dirty Seq outside the net table, or on an Engine with no
+// retained state falls back to a full analysis. Cancellation follows
+// AnalyzeIntoCtx: a cancelled re-propagation drops the retained basis.
 func (e *Engine) ReanalyzeStateCtx(ctx context.Context, in Input, opt Options, dirtyNets []int32) error {
 	if !e.hasBase || opt != e.baseOpt || !e.clkMatchesBase(in) {
 		return e.analyzeState(ctx, in, opt)
@@ -839,10 +725,9 @@ func (e *Engine) ReanalyzeStateCtx(ctx context.Context, in Input, opt Options, d
 	for _, s := range dirtyNets {
 		if s < 0 || int(s) >= len(e.rcStamp) {
 			// A Seq outside the engine's net table means the RC views
-			// disagree with the netlist this Engine was built on
-			// (extract.DiffRC reports exactly that for mismatched view
-			// sizes) — not a valid incremental basis. Honor the fallback
-			// contract instead of silently dropping the net.
+			// disagree with the netlist this Engine was built on — not a
+			// valid incremental basis. Honor the fallback contract
+			// instead of silently dropping the net.
 			return e.analyzeState(ctx, in, opt)
 		}
 		e.rcStamp[s] = e.reEpoch
@@ -964,7 +849,7 @@ func (e *Engine) pushEndpoints(net int32) {
 // WNS is the worst endpoint slack, TNS the sum of negative slacks, both
 // in ps. The reduction runs in fixed flop order, so it is deterministic
 // for a given retained state. It reads whatever state the last
-// Analyze/Reanalyze call left behind (a Monte Carlo loop pairs it with
+// analysis call left behind (a Monte Carlo loop pairs it with
 // ReanalyzeStateCtx); with no constrained endpoints both are 0.
 func (e *Engine) SlackStats(periodPs float64) (wnsPs, tnsPs float64) {
 	wns := math.Inf(1)
@@ -1188,7 +1073,7 @@ func (e *Engine) finishInto(dst *Result, in Input) error {
 	return nil
 }
 
-// recordBase marks the retained state as a valid Reanalyze basis under the
+// recordBase marks the retained state as a valid reanalysis basis under the
 // given analysis conditions. The clock table is copied into Engine-owned
 // storage: a caller that reuses one clock buffer and mutates it in place
 // between analyses must not make clkMatchesBase compare the buffer against
@@ -1228,7 +1113,7 @@ func (e *Engine) beginEpoch() {
 	}
 }
 
-// beginReEpoch opens a fresh dirty-tracking epoch for one Reanalyze call,
+// beginReEpoch opens a fresh dirty-tracking epoch for one reanalysis,
 // lazily sizing the stamp arrays and cone-walk scratch on first use (so a
 // warmed engine's steady-state reanalysis allocates nothing).
 func (e *Engine) beginReEpoch() {

@@ -64,9 +64,9 @@ BEGIN { printf "{\n  \"date\": \"%s\",\n  \"commit\": \"%s\",\n  \"benchmarks\":
         if (unit == "ns/op")          ns = $i
         else if (unit == "B/op")      bytes = $i
         else if (unit == "allocs/op") allocs = $i
-        else if (unit ~ /^[A-Za-z][A-Za-z0-9._]*\/[A-Za-z]/ && $i ~ /^[0-9.]+$/) {
-            # Custom b.ReportMetric unit (e.g. samples/sec): emit it under
-            # a sanitized key so snapshots stay plain JSON.
+        else if (unit ~ /^[A-Za-z][A-Za-z0-9._]*(\/[A-Za-z][A-Za-z0-9._]*)?$/ && $i ~ /^[0-9.e+-]+$/) {
+            # Custom b.ReportMetric unit (e.g. samples/sec, gc_cpu_frac):
+            # emit it under a sanitized key so snapshots stay plain JSON.
             gsub(/[^A-Za-z0-9]/, "_", unit)
             extras = extras sprintf(", \"%s\": %s", unit, $i)
         }
